@@ -88,28 +88,6 @@ std::uint32_t optional_request_count(const Page& p, double fraction) {
              fraction * static_cast<double>(p.optional.size()))));
 }
 
-/// Floyd's k-of-n sample into reusable storage (allocation-free once warm);
-/// draw-for-draw identical to Rng::sample_without_replacement.
-void sample_into(Rng& rng, std::uint32_t n, std::uint32_t k,
-                 std::vector<std::uint32_t>* out) {
-  out->clear();
-  if (k >= n) {
-    for (std::uint32_t v = 0; v < n; ++v) out->push_back(v);
-    return;
-  }
-  for (std::uint32_t r = n - k; r < n; ++r) {
-    const auto v = static_cast<std::uint32_t>(rng.bounded(r + 1));
-    bool seen = false;
-    for (std::uint32_t x : *out) {
-      if (x == v) {
-        seen = true;
-        break;
-      }
-    }
-    out->push_back(seen ? r : v);
-  }
-}
-
 /// Scratch reused across every server of one shard, so the per-server loop
 /// allocates nothing in steady state.
 struct ShardScratch {
@@ -394,8 +372,8 @@ DesMetrics DesSimulator::simulate(const Assignment& asg,
       if (ser != nullptr) ser->on_served(now);
       const std::uint32_t n_req =
           optional_request_count(p, params_.optional_request_fraction);
-      sample_into(opt_rng, static_cast<std::uint32_t>(p.optional.size()),
-                  n_req, &scratch.picks);
+      opt_rng.sample_into(static_cast<std::uint32_t>(p.optional.size()),
+                          n_req, &scratch.picks);
       for (std::uint32_t oi : scratch.picks) {
         if (asg.opt_local(j, oi)) {
           if (ser != nullptr) ser->on_arrival(now);

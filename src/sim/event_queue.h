@@ -1,7 +1,9 @@
 // Minimal discrete-event kernel: a time-ordered queue with deterministic
-// FIFO tie-breaking. The simulator uses it to interleave page arrivals and
-// deferred optional-object requests so that shared per-server state (LRU
-// cache, admission bucket) is touched in true chronological order.
+// FIFO tie-breaking. The simulators hold only generated events in it
+// (deferred optional-object fetches, station completions) and merge the
+// time-sorted arrival stream against peek(), so that shared per-server
+// state (LRU cache, admission bucket, station) is touched in true
+// chronological order.
 #pragma once
 
 #include <algorithm>

@@ -143,8 +143,8 @@ TEST_F(InvariantsTest, AuditFlagsCorruptedTotals) {
   // A fabricated backwards-time count trips monotone_time.
   groups[0].repository().occupancy_area_s /= 1.5;
   groups[0].stations[1].time_violations = 3;
-  const InvariantCheck* m =
-      find_check(audit_timeseries(groups), "monotone_time", 1);
+  const InvariantsReport monotone = audit_timeseries(groups);
+  const InvariantCheck* m = find_check(monotone, "monotone_time", 1);
   ASSERT_NE(m, nullptr);
   EXPECT_FALSE(m->ok);
 }

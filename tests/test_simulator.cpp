@@ -161,6 +161,71 @@ TEST(SimulatorLru, DeterministicInSeed) {
                    sim.simulate_lru(23).page_response.mean());
 }
 
+// Golden values for both dynamic baselines on a fixed instance and seed,
+// recorded from the list+map LRU cache and the push-every-arrival event
+// loop. The throttle, the evictions and the optional fetches are all
+// exercised; any change to the cache's eviction order, to event order or
+// to the draws consumed moves these bits.
+struct DynamicGolden {
+  std::uint64_t hits, misses, evictions, throttled, creations, drops;
+  double page_response_mean;
+  std::size_t optional_count;
+  double optional_sum;
+};
+
+void expect_golden(const SimMetrics& m, const DynamicGolden& g) {
+  EXPECT_EQ(m.lru_hits, g.hits);
+  EXPECT_EQ(m.lru_misses, g.misses);
+  EXPECT_EQ(m.lru_evictions, g.evictions);
+  EXPECT_EQ(m.throttled_requests, g.throttled);
+  EXPECT_EQ(m.replica_creations, g.creations);
+  EXPECT_EQ(m.replica_drops, g.drops);
+  EXPECT_EQ(m.page_response.count(), 6000u);
+  EXPECT_EQ(m.page_response.mean(), g.page_response_mean);
+  EXPECT_EQ(m.optional_time.count(), g.optional_count);
+  EXPECT_EQ(m.optional_time.sum(), g.optional_sum);
+}
+
+class DynamicBaselineGolden : public ::testing::Test {
+ protected:
+  static SystemModel instance() {
+    WorkloadParams wp = testing::small_params();
+    wp.server_proc_capacity = 20.0;
+    wp.pages_with_optional = 0.5;
+    wp.storage_fraction = 0.3;
+    return generate_workload(wp, 4242);
+  }
+  static SimParams params() {
+    SimParams sp;
+    sp.requests_per_server = 2000;
+    return sp;
+  }
+};
+
+TEST_F(DynamicBaselineGolden, LruWarm) {
+  const SystemModel sys = instance();
+  expect_golden(Simulator(sys, params()).simulate_lru(77),
+                {67210, 25556, 25394, 33176, 0, 0, 0x1.3b8bfbbd156eap+11, 435,
+                 0x1.2148f25c6c101p+17});
+}
+
+TEST_F(DynamicBaselineGolden, LruCold) {
+  const SystemModel sys = instance();
+  SimParams sp = params();
+  sp.lru_warm_start = false;
+  expect_golden(Simulator(sys, sp).simulate_lru(78),
+                {34057, 12216, 12085, 16264, 0, 0, 0x1.ca96324f3cb07p+10, 426,
+                 0x1.dad4876031a1dp+16});
+}
+
+TEST_F(DynamicBaselineGolden, Threshold) {
+  const SystemModel sys = instance();
+  expect_golden(
+      Simulator(sys, params()).simulate_threshold(77, ThresholdParams{}),
+      {0, 0, 0, 0, 177, 14, 0x1.4b16eef04e7b6p+10, 439,
+       0x1.21288a6d282f8p+17});
+}
+
 TEST(SimMetrics, MergeAggregates) {
   SimMetrics a, b;
   a.page_response.add(1.0);
