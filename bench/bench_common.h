@@ -27,7 +27,8 @@
 //                   artifact (quantile sketches, hot set, windowed SLO)
 //   --obs           enable streaming telemetry without writing the artifact
 //                   (obs.* gauges + sketch-derived bench series only)
-//   --window=N      SLO window width in virtual seconds (default 60)
+//   --window=N      base SLO window width in virtual seconds (default 60;
+//                   doubles as needed to keep at most 512 windows)
 //   --slo=R,S,T     SLO spec: response threshold [s], stretch threshold,
 //                   attainment target (default 2.0,1.5,0.99)
 #pragma once
@@ -320,7 +321,9 @@ inline Flags standard_flags(int argc, const char* const* argv) {
                 "enable streaming telemetry; write mmr-sketch JSONL on exit")
       .describe("obs",
                 "enable streaming telemetry without writing the artifact")
-      .describe("window", "SLO window width in virtual seconds (default 60)")
+      .describe("window",
+                "base SLO window width in virtual seconds (default 60; "
+                "doubles to keep at most 512 windows)")
       .describe("slo",
                 "SLO spec RESP_S,STRETCH_X,TARGET (default 2.0,1.5,0.99)")
       .describe("timeseries-out",

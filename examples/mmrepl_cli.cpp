@@ -15,8 +15,9 @@
 //       Measure response times under the Sec. 5.1 perturbation model.
 //       Quantiles come from streaming sketches (src/obs/), so memory stays
 //       bounded at any --requests count. [--slo=R,S,T] [--window=N] tune
-//       the SLO evaluation; --sketch-out=<path> (any command that
-//       simulates) writes the mmr-sketch JSONL artifact.
+//       the SLO evaluation (N is the base window width; windows double to
+//       stay within 512); --sketch-out=<path> (any command that simulates)
+//       writes the mmr-sketch JSONL artifact.
 //   mmrepl_cli simulate --des --system=sys.txt --placement=placement.txt
 //       Discrete-event mode (sim/des.h): servers and the repository queue
 //       for real. [--arrival-rate=X] scales the offered load,

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <tuple>
 
+#include "util/check.h"
 #include "util/memacct.h"
 #include "util/metrics.h"
 
@@ -40,6 +41,7 @@ ObsConfig obs_config() {
 }
 
 void set_obs_config(const ObsConfig& config) {
+  MMR_CHECK_MSG(config.window_s > 0, "SLO window_s must be > 0");
   std::lock_guard<std::mutex> lock(config_mutex());
   mutable_config() = config;
 }

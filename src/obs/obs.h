@@ -37,7 +37,10 @@ struct ObsConfig {
   std::uint32_t max_buckets = 2048;  ///< per-metric sketch span
   std::uint32_t window_buckets = 512;  ///< per-window cell sketch span
   std::uint32_t hot_capacity = 64;   ///< heavy-hitter entries
-  double window_s = 60.0;            ///< virtual-time window width [s]
+  /// Base SLO window width [s]; past kDefaultMaxWindows windows the width
+  /// doubles and windows fold pairwise (exactly), bounding memory, the
+  /// artifact and the cost of collection.
+  double window_s = 60.0;
   SloConfig slo;
 };
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <ostream>
 #include <sstream>
 
@@ -16,12 +17,13 @@ void write_header(std::ostream& os, const ObsConfig& config,
   JsonWriter w(os);
   w.begin_object();
   w.kv("schema", "mmr-sketch");
-  w.kv("version", std::int64_t{1});
+  w.kv("version", std::int64_t{kSketchVersion});
   w.kv("alpha", config.alpha);
   w.kv("gamma", (1.0 + config.alpha) / (1.0 - config.alpha));
   w.kv("max_buckets", std::uint64_t{config.max_buckets});
   w.kv("hot_capacity", std::uint64_t{config.hot_capacity});
   w.kv("window_s", config.window_s);
+  w.kv("max_windows", kDefaultMaxWindows);
   w.key("slo").begin_object();
   w.kv("response_s", config.slo.response_s);
   w.kv("stretch_x", config.slo.stretch_x);
@@ -103,6 +105,7 @@ std::uint64_t write_window_lines(std::ostream& os, const ObsShard& group,
     write_group_prefix(w, "window", group);
     w.kv("index", row.index);
     w.kv("t_start_s", row.t_start_s);
+    w.kv("window_s", report.window_s);
     w.kv("requests", row.total);
     w.kv("good", row.good);
     w.kv("attainment", row.attainment);
@@ -120,6 +123,7 @@ std::uint64_t write_slo_line(std::ostream& os, const ObsShard& group,
   w.begin_object();
   write_group_prefix(w, "slo", group);
   w.kv("windows", static_cast<std::uint64_t>(report.windows.size()));
+  w.kv("window_s", report.window_s);
   w.kv("requests", report.total);
   w.kv("good", report.good);
   w.kv("attainment", report.attainment);
@@ -183,14 +187,18 @@ std::vector<const JsonValue*> SketchDoc::of_type(
 
 namespace {
 
+void require_fields(const JsonValue& v, const std::string& where,
+                    std::initializer_list<const char*> fields) {
+  for (const char* field : fields) {
+    MMR_CHECK_MSG(v.has(field), where + " lacks the '" + field + "' field");
+  }
+}
+
 void check_sketch_event(const JsonValue& v, std::size_t line_no) {
   const std::string where = "sketch line " + std::to_string(line_no);
-  for (const char* field :
-       {"policy", "mode", "metric", "count", "zero", "sum", "min", "max",
-        "buckets"}) {
-    MMR_CHECK_MSG(v.has(field),
-                  where + " lacks the '" + field + "' field");
-  }
+  require_fields(v, where,
+                 {"policy", "mode", "metric", "count", "zero", "sum", "min",
+                  "max", "buckets"});
   const auto count = static_cast<std::uint64_t>(v.at("count").num_v);
   std::uint64_t mass = static_cast<std::uint64_t>(v.at("zero").num_v);
   for (const JsonValue& pair : v.at("buckets").arr) {
@@ -203,15 +211,77 @@ void check_sketch_event(const JsonValue& v, std::size_t line_no) {
                     " but count is " + std::to_string(count));
 }
 
-void check_window_event(const JsonValue& v, std::size_t line_no) {
-  const std::string where = "window line " + std::to_string(line_no);
-  for (const char* field : {"index", "requests", "good", "attainment"}) {
-    MMR_CHECK_MSG(v.has(field),
-                  where + " lacks the '" + field + "' field");
+/// The window rows of the (policy, mode) group being read, checked against
+/// the header's base width and cap and closed by the group's slo line.
+struct WindowGroup {
+  double base_s = 0;
+  std::uint64_t max_windows = 0;
+  bool open = false;
+  std::string policy;
+  std::string mode;
+  double window_s = 0;
+  std::uint64_t rows = 0;
+  double last_index = 0;
+
+  /// Coarsening only ever doubles, so a group width must be base × 2^k.
+  void check_width(double width, const std::string& where) const {
+    double w = base_s;
+    while (w < width) w *= 2;
+    MMR_CHECK_MSG(w == width, where + " width " + std::to_string(width) +
+                                  " is not the header window_s times a "
+                                  "power of two");
   }
-  MMR_CHECK_MSG(v.at("good").num_v <= v.at("requests").num_v,
-                where + " reports more good requests than requests");
-}
+
+  void window(const JsonValue& v, const std::string& where) {
+    require_fields(v, where,
+                   {"policy", "mode", "index", "t_start_s", "window_s",
+                    "requests", "good", "attainment"});
+    const double index = v.at("index").num_v;
+    const double width = v.at("window_s").num_v;
+    if (!open) {
+      check_width(width, where);
+      open = true;
+      policy = v.at("policy").str_v;
+      mode = v.at("mode").str_v;
+      window_s = width;
+      rows = 0;
+    } else {
+      MMR_CHECK_MSG(v.at("policy").str_v == policy &&
+                        v.at("mode").str_v == mode,
+                    where + " starts a new group before the previous "
+                            "group's slo line");
+      MMR_CHECK_MSG(width == window_s,
+                    where + " width differs from its group's earlier rows");
+      MMR_CHECK_MSG(index > last_index,
+                    where + " is out of ascending index order");
+    }
+    // With ascending indices this also keeps a group within max_windows
+    // rows.
+    MMR_CHECK_MSG(index < static_cast<double>(max_windows),
+                  where + " index is past the header's max_windows");
+    last_index = index;
+    ++rows;
+    MMR_CHECK_MSG(v.at("t_start_s").num_v == index * width,
+                  where + " t_start_s is not index x window_s");
+    MMR_CHECK_MSG(v.at("good").num_v <= v.at("requests").num_v,
+                  where + " reports more good requests than requests");
+  }
+
+  void slo(const JsonValue& v, const std::string& where) {
+    require_fields(v, where, {"policy", "mode", "windows", "window_s"});
+    const double width = v.at("window_s").num_v;
+    check_width(width, where);
+    if (open) {
+      MMR_CHECK_MSG(v.at("policy").str_v == policy &&
+                        v.at("mode").str_v == mode && width == window_s,
+                    where + " does not match its group's window rows");
+    }
+    MMR_CHECK_MSG(static_cast<std::uint64_t>(v.at("windows").num_v) ==
+                      (open ? rows : 0),
+                  where + " window count disagrees with its window rows");
+    open = false;
+  }
+};
 
 }  // namespace
 
@@ -221,6 +291,7 @@ SketchDoc parse_sketch_jsonl(const std::string& text) {
   std::string line;
   bool have_header = false;
   std::size_t line_no = 0;
+  WindowGroup windows;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -234,8 +305,19 @@ SketchDoc parse_sketch_jsonl(const std::string& text) {
       MMR_CHECK_MSG(doc.schema == "mmr-sketch",
                     "unknown sketch schema '" + doc.schema + "'");
       doc.version = static_cast<int>(v.at("version").num_v);
-      MMR_CHECK_MSG(v.has("alpha") && v.has("window_s") && v.has("slo"),
+      MMR_CHECK_MSG(doc.version == kSketchVersion,
+                    "unsupported sketch version " +
+                        std::to_string(doc.version) + " (expected " +
+                        std::to_string(kSketchVersion) + ")");
+      MMR_CHECK_MSG(v.has("alpha") && v.has("window_s") &&
+                        v.has("max_windows") && v.has("slo"),
                     "sketch header lacks the telemetry config");
+      windows.base_s = v.at("window_s").num_v;
+      MMR_CHECK_MSG(windows.base_s > 0, "sketch window_s must be > 0");
+      MMR_CHECK_MSG(v.at("max_windows").num_v >= 1,
+                    "sketch max_windows must be >= 1");
+      windows.max_windows =
+          static_cast<std::uint64_t>(v.at("max_windows").num_v);
       doc.header = std::move(v);
       have_header = true;
       continue;
@@ -245,6 +327,8 @@ SketchDoc parse_sketch_jsonl(const std::string& text) {
     const std::string& type = v.at("type").str_v;
     if (type == "summary") {
       MMR_CHECK_MSG(!doc.has_summary, "duplicate sketch summary line");
+      MMR_CHECK_MSG(!windows.open,
+                    "sketch window rows lack their group's slo line");
       doc.has_summary = true;
       doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
       doc.declared_dropped =
@@ -255,9 +339,11 @@ SketchDoc parse_sketch_jsonl(const std::string& text) {
     if (type == "sketch") {
       check_sketch_event(v, line_no);
     } else if (type == "window") {
-      check_window_event(v, line_no);
+      windows.window(v, "window line " + std::to_string(line_no));
+    } else if (type == "slo") {
+      windows.slo(v, "slo line " + std::to_string(line_no));
     } else {
-      MMR_CHECK_MSG(type == "hot" || type == "slo",
+      MMR_CHECK_MSG(type == "hot",
                     "unknown sketch event type '" + type + "' on line " +
                         std::to_string(line_no));
     }

@@ -5,9 +5,11 @@
 // Layout: one header line (schema/version/config/run_meta), then per
 // (policy, mode) group in canonical order: two "sketch" lines (response,
 // stretch), the "hot" ranking, the occupied "window" rows, one "slo"
-// summary line; finally the {"type":"summary"} trailer. Because groups
-// come from ObsLog::snapshot(), the bytes are identical at any thread
-// count.
+// summary line; finally the {"type":"summary"} trailer. Window rows and the
+// slo line carry their group's width: the header's base window_s doubled
+// once per coarsening fold, with every index below the header's
+// max_windows. Because groups come from ObsLog::snapshot(), the bytes are
+// identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,10 @@
 #include "util/json.h"
 
 namespace mmr {
+
+/// mmr-sketch schema version the writer emits and the parser accepts.
+/// Version 2 added per-group window widths (coarsened SLO windows).
+inline constexpr int kSketchVersion = 2;
 
 void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
                         const ObsConfig& config, std::uint64_t dropped,
@@ -44,9 +50,12 @@ struct SketchDoc {
   std::vector<const JsonValue*> of_type(const std::string& type) const;
 };
 
-/// Strict parse: checks the schema name, known event types, per-sketch
-/// bucket-count consistency (zero + sum of buckets == count), window
-/// good <= total, and the summary count. Throws CheckError on violation.
+/// Strict parse: checks the schema name and version, known event types,
+/// per-sketch bucket-count consistency (zero + sum of buckets == count),
+/// and per group that every window width is base × 2^k and shared with the
+/// slo line, t_start_s == index × window_s, indices ascend and stay below
+/// max_windows, and good <= requests; then the summary count. Throws
+/// CheckError on violation.
 SketchDoc parse_sketch_jsonl(const std::string& text);
 SketchDoc read_sketch_file(const std::string& path);
 

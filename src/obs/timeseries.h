@@ -3,8 +3,9 @@
 //
 // The DES end-of-run aggregates (sim/des.h DesMetrics) say *how much*
 // queueing happened; this module records *when and where*: per station
-// (every site server plus the repository), virtual time is cut into fixed
-// windows and each window accumulates queue-depth samples taken at event
+// (every site server plus the repository), virtual time is cut into
+// windows that coarsen under a cell cap (obs/capped_windows.h), and each
+// window accumulates queue-depth samples taken at event
 // boundaries, busy time spread over the windows a service interval
 // overlaps, in-flight high-water marks and arrival/served/redirected/
 // rejected counts. Alongside the windows, each station keeps the exact
@@ -32,6 +33,7 @@
 
 #include "io/artifacts.h"
 #include "io/provenance.h"
+#include "obs/capped_windows.h"
 #include "util/json.h"
 
 namespace mmr {
@@ -47,7 +49,7 @@ struct TimeseriesConfig {
   /// pairwise (sums add, maxima max — exact, nothing is lost), so memory,
   /// artifact size and collection cost stay bounded no matter how long the
   /// simulated horizon runs. 0 disables coarsening (fixed window_s).
-  std::uint64_t max_windows = 512;
+  std::uint64_t max_windows = kDefaultMaxWindows;
 };
 
 /// Config applied to shards created AFTER the call; set it before enabling.
@@ -69,44 +71,34 @@ struct TsCell {
   std::uint32_t depth_max = 0;
   std::uint32_t inflight_max = 0;  ///< max jobs in service
   double busy_s = 0;             ///< service time overlapping this window
+
+  /// Coarsening fold: sums add, maxima max.
+  void fold(const TsCell& o) {
+    arrivals += o.arrivals;
+    served += o.served;
+    redirected += o.redirected;
+    rejected += o.rejected;
+    depth_samples += o.depth_samples;
+    depth_sum += o.depth_sum;
+    depth_max = std::max(depth_max, o.depth_max);
+    inflight_max = std::max(inflight_max, o.inflight_max);
+    busy_s += o.busy_s;
+  }
 };
 
 /// One station's windowed series plus exact conservation totals. All
 /// mutators must be called in nondecreasing virtual time (backwards steps
 /// are tolerated and counted in time_violations — the auditor's monotone-
-/// time law). The hot path caches the last-touched cell, so in-order event
-/// streams hit the map only when they cross a window boundary.
-///
-/// Windows auto-coarsen: when an event lands at or past window
-/// `max_windows`, the width doubles (cells fold pairwise) until it fits —
-/// the HdrHistogram resize trick applied to time. Coarsening is a pure
-/// function of the station's own event stream, so it cannot perturb the
-/// artifact's byte-stability across shard/thread counts.
+/// time law). The windows are a CappedWindows<TsCell> (obs/capped_windows.h):
+/// a hot-cell cache, and auto-coarsening under `max_windows` cells. On top
+/// of it this class keeps only the busy-spread scratch and the conservation
+/// totals.
 class StationSeries {
  public:
-  StationSeries() = default;
-
-  /// Copies drop the hot-cell cache: it points into the source's map.
-  /// Moves keep it — map nodes transfer ownership without relocating.
-  StationSeries(const StationSeries& other) { *this = other; }
-  StationSeries& operator=(const StationSeries& other);
-  StationSeries(StationSeries&&) = default;
-  StationSeries& operator=(StationSeries&&) = default;
-
   void reset(double window_s, std::uint64_t max_windows = 0) {
-    window_s_ = window_s > 0 ? window_s : 1.0;
-    inv_window_s_ = 1.0 / window_s_;
-    max_windows_ = max_windows;
-    cells_.clear();
-    busy_tail_.clear();
-    busy_cover_.clear();
-    hot_index_ = 0;
-    hot_ = nullptr;
-    arrivals = served = redirected = rejected = admitted = 0;
-    occupancy_area_s = time_in_station_s = busy_spread_s = 0;
-    time_violations = 0;
-    last_t_ = 0;
-    prev_occupancy_ = 0;
+    *this = StationSeries();
+    windows_ =
+        CappedWindows<TsCell>(window_s > 0 ? window_s : 1.0, max_windows);
   }
 
   /// A job was offered to the station at time t (admitted or not).
@@ -145,8 +137,8 @@ class StationSeries {
   void on_service(double start, double end) {
     if (end <= start) return;
     fit(end);
-    const std::uint64_t w = window_of(start);
-    spread_from(cell_at(w), w, start, end);
+    const std::uint64_t w = windows_.window_of(start);
+    spread_from(windows_.cell_at(w), w, start, end);
   }
 
   /// Depth sample at an event boundary; also advances the occupancy
@@ -200,8 +192,8 @@ class StationSeries {
                                   std::uint32_t queue_len,
                                   std::uint32_t in_service) {
     fit(done >= t ? done : t);
-    const std::uint64_t w = window_of(t);
-    TsCell& c = cell_at(w);
+    const std::uint64_t w = windows_.window_of(t);
+    TsCell& c = windows_.cell_at(w);
     ++c.arrivals;
     ++arrivals;
     ++admitted;
@@ -217,8 +209,8 @@ class StationSeries {
     time_in_station_s += wait + (done - t);
     if (done > t) {
       fit(done);
-      const std::uint64_t w = window_of(t);
-      spread_from(cell_at(w), w, t, done);
+      const std::uint64_t w = windows_.window_of(t);
+      spread_from(windows_.cell_at(w), w, t, done);
     }
   }
   /// on_served + sample (completion with no queued successor).
@@ -235,8 +227,8 @@ class StationSeries {
                                    std::uint32_t queue_len,
                                    std::uint32_t in_service) {
     fit(done >= t ? done : t);
-    const std::uint64_t w = window_of(t);
-    TsCell& c = cell_at(w);
+    const std::uint64_t w = windows_.window_of(t);
+    TsCell& c = windows_.cell_at(w);
     ++admitted;
     time_in_station_s += wait + (done - t);
     if (done > t) spread_from(c, w, t, done);
@@ -251,14 +243,14 @@ class StationSeries {
   void merge(const StationSeries& other);
 
   /// Current width: the reset() base doubled once per coarsening fold.
-  double window_s() const { return window_s_; }
-  std::uint64_t max_windows() const { return max_windows_; }
+  double window_s() const { return windows_.window_s(); }
+  std::uint64_t max_windows() const { return windows_.max_windows(); }
   double last_t() const { return last_t_; }
-  /// Settles the pending busy difference map into busy_s first, so readers
-  /// always see fully materialized cells.
+  /// Settles the pending busy scratch into busy_s first, so readers always
+  /// see fully materialized cells.
   const std::map<std::uint64_t, TsCell>& cells() const {
     materialize();
-    return cells_;
+    return windows_.cells();
   }
   std::size_t approx_bytes() const;
 
@@ -274,23 +266,15 @@ class StationSeries {
   std::uint64_t time_violations = 0;   ///< backwards virtual-time steps
 
  private:
-  /// Multiply-by-inverse bucketing: one mul beats a divide on the per-event
-  /// hot path, at the price of an occasional ±1 ulp disagreement with exact
-  /// division right on a window boundary. Any consistent bucketing is
-  /// correct — totals stay exact, only which side of a boundary an
-  /// instant lands on can shift — and it is the same every run, so
-  /// byte-stability is unaffected.
-  std::uint64_t window_of(double t) const {
-    return t <= 0 ? 0 : static_cast<std::uint64_t>(t * inv_window_s_);
-  }
-  /// Doubles the width until window_of(t) fits under max_windows_.
+  /// Coarsens until instant t fits under the cap, settling the busy scratch
+  /// (indexed at the current width) before the first fold.
   void fit(double t) {
-    if (max_windows_ == 0) return;
-    while (window_of(t) >= max_windows_) fold_once();
+    if (windows_.fits(t)) return;
+    materialize();
+    windows_.fit(t);
   }
-  void fold_once();
   /// Flushes the busy scratch vectors: each window gains its deferred tail
-  /// partial plus covering-count × window_s_ of busy time. O(scratch size),
+  /// partial plus covering-count × width of busy time. O(scratch size),
   /// and a no-op when nothing is pending. Logically const — it only settles
   /// deferred bookkeeping — hence the mutable members below.
   void materialize() const;
@@ -314,60 +298,45 @@ class StationSeries {
   /// window w = window_of(start). Requires end > start and fit(end) done.
   void spread_from(TsCell& c, std::uint64_t w, double start, double end) {
     busy_spread_s += end - start;
-    const std::uint64_t w_end = window_of(end);
+    const std::uint64_t w_end = windows_.window_of(end);
     if (w == w_end) {
       c.busy_s += end - start;
       return;
     }
-    c.busy_s += static_cast<double>(w + 1) * window_s_ - start;
+    const double width = windows_.window_s();
+    c.busy_s += static_cast<double>(w + 1) * width - start;
     ensure_busy_scratch(w_end);
     // An interval ending exactly on a boundary leaves nothing for the
     // trailing window; materialize() skips zero entries so no empty cell
     // appears for it.
-    busy_tail_[w_end] += end - static_cast<double>(w_end) * window_s_;
+    busy_tail_[w_end] += end - static_cast<double>(w_end) * width;
     if (w_end > w + 1) {
       ++busy_cover_[w + 1];
       --busy_cover_[w_end];
     }
   }
   /// Grows the scratch vectors (geometrically, clamped to the cell cap) so
-  /// index w is addressable. fit() has already bounded w below max_windows_.
+  /// index w is addressable. fit() has already bounded w below the cap.
   void ensure_busy_scratch(std::uint64_t w) {
     if (w < busy_tail_.size()) return;
     std::size_t n = std::max<std::size_t>(
         static_cast<std::size_t>(w) + 1, busy_tail_.size() * 2);
-    if (max_windows_ != 0 && n > max_windows_) {
-      n = static_cast<std::size_t>(max_windows_);
-    }
+    const std::uint64_t cap = windows_.max_windows();
+    if (cap != 0 && n > cap) n = static_cast<std::size_t>(cap);
     busy_tail_.resize(n, 0.0);
     busy_cover_.resize(n, 0);
   }
   TsCell& cell(double t) {
-    std::uint64_t w = window_of(t);
-    if (max_windows_ != 0 && w >= max_windows_) {
-      fit(t);
-      w = window_of(t);
-    }
-    return cell_at(w);
-  }
-  TsCell& cell_at(std::uint64_t w) {
-    if (hot_ != nullptr && hot_index_ == w) return *hot_;
-    hot_index_ = w;
-    hot_ = &cells_[w];
-    return *hot_;
+    fit(t);
+    return windows_.cell_at(windows_.window_of(t));
   }
 
-  double window_s_ = 60.0;
-  double inv_window_s_ = 1.0 / 60.0;
-  std::uint64_t max_windows_ = 0;  ///< cell cap; 0 = never coarsen
-  mutable std::map<std::uint64_t, TsCell> cells_;
+  mutable CappedWindows<TsCell> windows_;
   /// Deferred busy time, indexed by window: tail partials of spread service
   /// intervals, and ±1 interior-coverage deltas (+1 at the first fully
   /// covered window, −1 one past the last; prefix-summed on materialize).
   mutable std::vector<double> busy_tail_;
   mutable std::vector<std::int64_t> busy_cover_;
-  mutable std::uint64_t hot_index_ = 0;
-  mutable TsCell* hot_ = nullptr;  ///< cache into cells_; dropped on copy
   double last_t_ = 0;
   std::uint32_t prev_occupancy_ = 0;
 };

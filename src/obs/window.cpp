@@ -1,7 +1,6 @@
 #include "obs/window.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -49,98 +48,54 @@ SloConfig parse_slo_spec(const std::string& spec) {
 WindowedAggregator::WindowedAggregator(double window_s, SloConfig slo,
                                        double alpha,
                                        std::uint32_t sketch_buckets)
-    : window_s_(window_s),
-      slo_(slo),
-      alpha_(alpha),
-      sketch_buckets_(sketch_buckets) {
+    : slo_(slo),
+      windows_(window_s, kDefaultMaxWindows,
+               WindowCell(alpha, sketch_buckets)) {
   MMR_CHECK_MSG(window_s > 0.0, "window width must be > 0");
   MMR_CHECK_MSG(slo.target >= 0.0 && slo.target < 1.0,
                 "SLO target must be in [0, 1)");
 }
 
-WindowedAggregator::WindowedAggregator(const WindowedAggregator& other)
-    : window_s_(other.window_s_),
-      slo_(other.slo_),
-      alpha_(other.alpha_),
-      sketch_buckets_(other.sketch_buckets_),
-      total_(other.total_),
-      cells_(other.cells_) {}
-
-WindowedAggregator& WindowedAggregator::operator=(
-    const WindowedAggregator& other) {
-  if (this == &other) return *this;
-  window_s_ = other.window_s_;
-  slo_ = other.slo_;
-  alpha_ = other.alpha_;
-  sketch_buckets_ = other.sketch_buckets_;
-  total_ = other.total_;
-  cells_ = other.cells_;
-  last_index_ = 0;
-  last_cell_ = nullptr;
-  return *this;
-}
-
-WindowCell& WindowedAggregator::cell_at(double t) {
-  const auto index =
-      static_cast<std::uint64_t>(std::max(0.0, std::floor(t / window_s_)));
-  if (last_cell_ == nullptr || index != last_index_) {
-    auto it = cells_.find(index);
-    if (it == cells_.end()) {
-      it = cells_.emplace(index, WindowCell(alpha_, sketch_buckets_)).first;
-    }
-    last_index_ = index;
-    last_cell_ = &it->second;
-  }
-  return *last_cell_;
-}
-
-void WindowedAggregator::observe(double t, double response_s,
-                                 double stretch_x) {
-  WindowCell& cell = cell_at(t);
-  cell.response.add(response_s);
+void WindowedAggregator::count(WindowCell& cell, double response_s,
+                               double stretch_x) {
   ++cell.total;
   if (response_s <= slo_.response_s && stretch_x <= slo_.stretch_x) {
     ++cell.good;
   }
   ++total_;
+}
+
+void WindowedAggregator::observe(double t, double response_s,
+                                 double stretch_x) {
+  WindowCell& cell = windows_.cell(t);
+  cell.response.add(response_s);
+  count(cell, response_s, stretch_x);
 }
 
 void WindowedAggregator::observe_indexed(double t, double response_s,
                                          std::int32_t response_index,
                                          double stretch_x) {
-  WindowCell& cell = cell_at(t);
+  WindowCell& cell = windows_.cell(t);
   cell.response.add_indexed(response_s, response_index);
-  ++cell.total;
-  if (response_s <= slo_.response_s && stretch_x <= slo_.stretch_x) {
-    ++cell.good;
-  }
-  ++total_;
+  count(cell, response_s, stretch_x);
 }
 
 void WindowedAggregator::merge(const WindowedAggregator& other) {
-  MMR_CHECK_MSG(window_s_ == other.window_s_ &&
-                    slo_.response_s == other.slo_.response_s &&
+  MMR_CHECK_MSG(slo_.response_s == other.slo_.response_s &&
                     slo_.stretch_x == other.slo_.stretch_x &&
                     slo_.target == other.slo_.target,
-                "cannot merge aggregators with different window/SLO config");
-  for (const auto& [index, cell] : other.cells_) {
-    auto it = cells_.find(index);
-    if (it == cells_.end()) {
-      it = cells_.emplace(index, WindowCell(alpha_, sketch_buckets_)).first;
-    }
-    it->second.response.merge(cell.response);
-    it->second.good += cell.good;
-    it->second.total += cell.total;
-  }
+                "cannot merge aggregators with different SLO config");
+  windows_.merge(other.windows_);
   total_ += other.total_;
 }
 
 SloReport WindowedAggregator::evaluate() const {
   SloReport report;
-  for (const auto& [index, cell] : cells_) {
+  report.window_s = windows_.window_s();
+  for (const auto& [index, cell] : windows_.cells()) {
     SloWindowRow row;
     row.index = index;
-    row.t_start_s = static_cast<double>(index) * window_s_;
+    row.t_start_s = static_cast<double>(index) * report.window_s;
     row.total = cell.total;
     row.good = cell.good;
     row.attainment =
@@ -176,9 +131,9 @@ SloReport WindowedAggregator::evaluate() const {
 }
 
 std::size_t WindowedAggregator::approx_bytes() const {
-  std::size_t bytes = sizeof(*this);
-  for (const auto& [index, cell] : cells_) {
-    bytes += sizeof(index) + cell.response.approx_bytes() + 4 * sizeof(void*);
+  std::size_t bytes = sizeof(*this) + windows_.node_bytes();
+  for (const auto& [index, cell] : windows_.cells()) {
+    bytes += cell.response.approx_bytes() - sizeof(QuantileSketch);
   }
   return bytes;
 }

@@ -1,16 +1,20 @@
-// Windowed time-series aggregation and SLO evaluation.
+// SLO evaluation over virtual-time windows.
 //
-// Requests are bucketed into fixed-width virtual-time windows; each window
-// cell holds a small response-time sketch plus good/total counters, where
-// "good" means the request met BOTH thresholds of the SLO (absolute
-// response time and stretch relative to the unloaded ideal). The evaluator
-// turns the cells into per-window attainment, the per-window p99
-// trajectory, and multi-window burn rates in the style of SRE error-budget
-// alerts: burn = (1 - attainment) / (1 - target), so burn 1.0 consumes the
-// budget exactly at the sustainable rate and burn 10 means the window is
-// failing ten times faster than the SLO allows.
+// Requests are bucketed into virtual-time windows; each window cell holds a
+// small response-time sketch plus good/total counters, where "good" means
+// the request met BOTH thresholds of the SLO (absolute response time and
+// stretch relative to the unloaded ideal). The evaluator turns the cells
+// into per-window attainment, the per-window p99 trajectory, and
+// multi-window burn rates in the style of SRE error-budget alerts:
+// burn = (1 - attainment) / (1 - target), so burn 1.0 consumes the budget
+// exactly at the sustainable rate and burn 10 means the window is failing
+// ten times faster than the SLO allows.
 //
-// Cells merge exactly (sketch merge + counter adds), so per-shard
+// The windows are a CappedWindows<WindowCell> (obs/capped_windows.h), the
+// engine the queue-dynamics series uses: `window_s` is the base width, and
+// past kDefaultMaxWindows cells the width doubles and cells fold pairwise. Cells
+// fold and merge exactly (sketch merge + counter adds), so a coarsened
+// aggregator equals one built directly at its final width, and per-shard
 // aggregators combined in canonical order are byte-identical to a
 // sequential run.
 #pragma once
@@ -20,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/capped_windows.h"
 #include "obs/sketch.h"
 
 namespace mmr {
@@ -40,6 +45,13 @@ struct WindowCell {
   QuantileSketch response;
   std::uint64_t good = 0;
   std::uint64_t total = 0;
+
+  /// Coarsening fold: the sketch merges, the counters add.
+  void fold(const WindowCell& o) {
+    response.merge(o.response);
+    good += o.good;
+    total += o.total;
+  }
 };
 
 struct SloWindowRow {
@@ -53,6 +65,7 @@ struct SloWindowRow {
 };
 
 struct SloReport {
+  double window_s = 0.0;              ///< width of every row (coarsened)
   std::vector<SloWindowRow> windows;  ///< ascending index, occupied only
   std::uint64_t total = 0;
   std::uint64_t good = 0;
@@ -63,15 +76,10 @@ struct SloReport {
 
 class WindowedAggregator {
  public:
+  /// `window_s` is the base width; past kDefaultMaxWindows cells the width
+  /// doubles as often as the largest observed instant needs.
   WindowedAggregator(double window_s, SloConfig slo, double alpha = 0.01,
                      std::uint32_t sketch_buckets = 512);
-
-  /// Copies drop the hot-cell cache: it points into the source's map.
-  /// Moves keep it — map nodes transfer ownership without relocating.
-  WindowedAggregator(const WindowedAggregator& other);
-  WindowedAggregator& operator=(const WindowedAggregator& other);
-  WindowedAggregator(WindowedAggregator&&) = default;
-  WindowedAggregator& operator=(WindowedAggregator&&) = default;
 
   void observe(double t, double response_s, double stretch_x);
 
@@ -81,32 +89,28 @@ class WindowedAggregator {
   void observe_indexed(double t, double response_s,
                        std::int32_t response_index, double stretch_x);
 
-  /// Exact merge; requires identical (window_s, slo, sketch resolution).
+  /// Exact merge; requires the same SLO and sketch resolution, and widths a
+  /// power-of-two ratio apart (the finer side folds to the coarser first).
   void merge(const WindowedAggregator& other);
 
   SloReport evaluate() const;
 
-  const std::map<std::uint64_t, WindowCell>& cells() const { return cells_; }
-  double window_s() const { return window_s_; }
+  const std::map<std::uint64_t, WindowCell>& cells() const {
+    return windows_.cells();
+  }
+  /// Current width: the base doubled once per coarsening fold.
+  double window_s() const { return windows_.window_s(); }
   const SloConfig& slo() const { return slo_; }
   std::uint64_t total() const { return total_; }
 
   std::size_t approx_bytes() const;
 
  private:
-  WindowCell& cell_at(double t);
+  void count(WindowCell& cell, double response_s, double stretch_x);
 
-  double window_s_;
   SloConfig slo_;
-  double alpha_;
-  std::uint32_t sketch_buckets_;
   std::uint64_t total_ = 0;
-  std::map<std::uint64_t, WindowCell> cells_;
-  /// Most recently touched cell: virtual time is near-monotone per shard,
-  /// so consecutive observations usually hit the same window and skip the
-  /// map lookup. Valid only while it points into this object's cells_.
-  std::uint64_t last_index_ = 0;
-  WindowCell* last_cell_ = nullptr;
+  CappedWindows<WindowCell> windows_;
 };
 
 }  // namespace mmr

@@ -120,9 +120,16 @@ TEST(Des, ByteIdenticalAcrossShardsAndThreads) {
   set_flight_sample_every(7);
   set_obs_enabled(true);
   set_timeseries_enabled(true);
+  // A base this small puts the horizon past the window cap, so the SLO
+  // windows coarsen in every configuration and the matrix below also proves
+  // folding is shard/thread independent.
+  ObsConfig ocfg;
+  ocfg.window_s = 1e-3;
+  set_obs_config(ocfg);
 
   struct Run {
     DesMetrics metrics;
+    double slo_window_s = 0;
     std::string flight;
     std::string sketch;
     std::string timeseries;
@@ -147,8 +154,12 @@ TEST(Des, ByteIdenticalAcrossShardsAndThreads) {
     write_flight_jsonl(flight, global_flight_log().snapshot(),
                        global_flight_log().dropped(), meta);
     r.flight = flight.str();
+    const std::vector<ObsShard> obs_groups = global_obs_log().snapshot();
+    if (!obs_groups.empty()) {
+      r.slo_window_s = obs_groups.front().windows.window_s();
+    }
     std::ostringstream sketch;
-    write_sketch_jsonl(sketch, global_obs_log().snapshot(), obs_config(),
+    write_sketch_jsonl(sketch, obs_groups, obs_config(),
                        global_obs_log().dropped(), meta);
     r.sketch = sketch.str();
     const std::vector<TimeseriesShard> groups =
@@ -168,6 +179,7 @@ TEST(Des, ByteIdenticalAcrossShardsAndThreads) {
   EXPECT_GT(ref.metrics.arrivals, 0u);
   EXPECT_FALSE(ref.flight.empty());
   EXPECT_FALSE(ref.sketch.empty());
+  EXPECT_GT(ref.slo_window_s, ocfg.window_s);  // the SLO windows folded
   // The reference run's audit must already be clean.
   EXPECT_NE(ref.invariants.find("\"ok\":true"), std::string::npos);
   EXPECT_EQ(ref.invariants.find("\"ok\":false"), std::string::npos);
@@ -188,6 +200,7 @@ TEST(Des, ByteIdenticalAcrossShardsAndThreads) {
   set_flight_enabled(false);
   set_obs_enabled(false);
   set_timeseries_enabled(false);
+  set_obs_config(ObsConfig{});
   global_flight_log().clear();
   global_obs_log().clear();
   global_timeseries_log().clear();

@@ -34,7 +34,9 @@ TEST(IntegrationFig1, StorageSweepShape) {
     }
     // Less storage -> never better (monotone increase, small tolerance for
     // simulation noise).
-    if (prev_ours >= 0) EXPECT_GE(ours, prev_ours - 0.08) << storage;
+    if (prev_ours >= 0) {
+      EXPECT_GE(ours, prev_ours - 0.08) << storage;
+    }
     prev_ours = ours;
     // Ours never worse than LRU at the same storage (paper's headline).
     EXPECT_LE(ours, r.lru.rel_increase.mean() + 0.10) << storage;
@@ -69,7 +71,9 @@ TEST(IntegrationFig2, ProcessingSweepShape) {
     const double ours = r.ours.rel_increase.mean();
     if (frac == 1.0) at_full = ours;
     if (frac == 0.0) at_zero = ours;
-    if (prev >= 0) EXPECT_GE(ours, prev - 0.08) << frac;
+    if (prev >= 0) {
+      EXPECT_GE(ours, prev - 0.08) << frac;
+    }
     prev = ours;
   }
   // 100% capacity: essentially unconstrained. 0%: everything from the

@@ -88,7 +88,9 @@ TEST_F(InvariantsTest, AuditPassesOnContendedRedirectRun) {
   // Little's law is two summations of the same per-job terms: the residual
   // is pure fp noise, orders of magnitude below the gate.
   for (const InvariantCheck& c : report.checks) {
-    if (c.law == "little") EXPECT_LT(c.error, 1e-9);
+    if (c.law == "little") {
+      EXPECT_LT(c.error, 1e-9);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -344,6 +345,93 @@ TEST_F(ObsTest, WindowMergeMatchesSequential) {
   EXPECT_DOUBLE_EQ(ra.worst_burn_6, rall.worst_burn_6);
 }
 
+/// Asserts two aggregators hold the same windows: index, counts and
+/// sketch buckets cell by cell, and the same evaluated rows.
+void expect_same_windows(const WindowedAggregator& a,
+                         const WindowedAggregator& b) {
+  EXPECT_EQ(a.window_s(), b.window_s());
+  EXPECT_EQ(a.total(), b.total());
+  ASSERT_EQ(a.cells().size(), b.cells().size());
+  auto ib = b.cells().begin();
+  for (const auto& [index, cell] : a.cells()) {
+    SCOPED_TRACE("window " + std::to_string(index));
+    EXPECT_EQ(index, ib->first);
+    EXPECT_EQ(cell.total, ib->second.total);
+    EXPECT_EQ(cell.good, ib->second.good);
+    EXPECT_EQ(cell.response.buckets(), ib->second.response.buckets());
+    EXPECT_EQ(cell.response.zero_count(), ib->second.response.zero_count());
+    ++ib;
+  }
+  const SloReport ra = a.evaluate(), rb = b.evaluate();
+  EXPECT_EQ(ra.window_s, rb.window_s);
+  ASSERT_EQ(ra.windows.size(), rb.windows.size());
+  for (std::size_t i = 0; i < ra.windows.size(); ++i) {
+    EXPECT_EQ(ra.windows[i].t_start_s, rb.windows[i].t_start_s);
+    EXPECT_EQ(ra.windows[i].p99_s, rb.windows[i].p99_s);
+    EXPECT_EQ(ra.windows[i].burn, rb.windows[i].burn);
+  }
+  EXPECT_EQ(ra.worst_burn_6, rb.worst_burn_6);
+}
+
+TEST_F(ObsTest, WindowsCoarsenExactlyUnderTheCap) {
+  // 10^6 s of arrivals in random order at a 60 s base under a 512-cell
+  // cap: the width must double until the horizon fits (at 60 * 2^6 =
+  // 3840 s, t = 10^6 s lands in cell 260), and every cell must equal what
+  // an aggregator built directly at that width holds.
+  SloConfig slo;
+  WindowedAggregator capped(60.0, slo, 0.01, 512);
+  std::vector<std::array<double, 3>> stream;
+  Rng rng(13);
+  for (int i = 0; i < 200'000; ++i) {
+    stream.push_back({rng.uniform(0.0, 1e6), std::exp(rng.uniform(-2.0, 2.0)),
+                      1.0 + rng.uniform()});
+  }
+  for (const auto& [t, resp, stretch] : stream) {
+    capped.observe(t, resp, stretch);
+  }
+  EXPECT_EQ(capped.window_s(), 3840.0);
+  EXPECT_LE(capped.cells().size(), 512u);
+  EXPECT_LE(capped.evaluate().windows.size(), 512u);
+
+  WindowedAggregator direct(capped.window_s(), slo, 0.01, 512);
+  for (const auto& [t, resp, stretch] : stream) {
+    direct.observe(t, resp, stretch);
+  }
+  expect_same_windows(capped, direct);
+}
+
+TEST_F(ObsTest, WindowMergeAcrossWidthsMatchesSequential) {
+  // At a 0.1 s base, `a` sees a 1000 s horizon and folds five times, `b` a
+  // 150 s one and folds twice: merging in either direction must fold the
+  // finer side first and land exactly on the sequential run.
+  SloConfig slo;
+  WindowedAggregator all(0.1, slo);
+  WindowedAggregator a(0.1, slo);
+  WindowedAggregator b(0.1, slo);
+  Rng rng(21);
+  for (int i = 0; i < 20'000; ++i) {
+    const bool to_a = i % 2 == 0;
+    const double t = rng.uniform(0.0, to_a ? 1000.0 : 150.0);
+    const double resp = std::exp(rng.uniform(-2.0, 1.5));
+    const double stretch = 1.0 + rng.uniform() * 0.8;
+    all.observe(t, resp, stretch);
+    (to_a ? a : b).observe(t, resp, stretch);
+  }
+  ASSERT_EQ(a.window_s(), 0.1 * 32);
+  ASSERT_EQ(b.window_s(), 0.1 * 4);
+  WindowedAggregator b_into_a = a;
+  b_into_a.merge(b);
+  expect_same_windows(b_into_a, all);
+  WindowedAggregator a_into_b = b;
+  a_into_b.merge(a);
+  expect_same_windows(a_into_b, all);
+
+  // Widths not a power of two apart cannot come from one base.
+  WindowedAggregator odd(3.0, slo);
+  odd.observe(1.0, 0.5, 1.0);
+  EXPECT_THROW(a.merge(odd), CheckError);
+}
+
 // ---------------------------------------------------------------------------
 // ObsLog + artifact
 
@@ -405,7 +493,7 @@ TEST_F(ObsTest, ArtifactRoundTrip) {
 
   const SketchDoc doc = parse_sketch_jsonl(os.str());
   EXPECT_EQ(doc.schema, "mmr-sketch");
-  EXPECT_EQ(doc.version, 1);
+  EXPECT_EQ(doc.version, kSketchVersion);
   EXPECT_TRUE(doc.has_summary);
   EXPECT_EQ(doc.declared_dropped, 3u);
   EXPECT_EQ(doc.of_type("sketch").size(), 4u);  // 2 groups x 2 metrics
@@ -448,6 +536,57 @@ TEST_F(ObsTest, ParserRejectsCorruptDocs) {
                                "{\"type\":\"mystery\"}\n" +
                                good.substr(first_nl + 1);
   EXPECT_THROW(parse_sketch_jsonl(injected), CheckError);
+}
+
+TEST_F(ObsTest, ParserRejectsMalformedWindowRows) {
+  const ObsConfig cfg = obs_config();
+  std::vector<ObsShard> groups;
+  groups.push_back(make_shard(cfg, "p", FlightMode::kStatic, 0, 1));
+  RunMeta meta;
+  meta.tool = "test";
+  std::ostringstream os;
+  write_sketch_jsonl(os, groups, cfg, 0, meta);
+  const std::string good = os.str();
+  ASSERT_NO_THROW(parse_sketch_jsonl(good));
+
+  const auto tampered = [&](const std::string& from, const std::string& to) {
+    const auto pos = good.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    std::string bad = good;
+    bad.replace(pos, from.size(), to);
+    return bad;
+  };
+  // A width that is not the base doubled k times.
+  EXPECT_THROW(parse_sketch_jsonl(tampered("\"t_start_s\":0,\"window_s\":60",
+                                           "\"t_start_s\":0,\"window_s\":90")),
+               CheckError);
+  // t_start_s disagreeing with index x window_s.
+  EXPECT_THROW(parse_sketch_jsonl(tampered("\"index\":1,\"t_start_s\":60",
+                                           "\"index\":1,\"t_start_s\":61")),
+               CheckError);
+  // Rows out of ascending index order.
+  EXPECT_THROW(parse_sketch_jsonl(tampered("\"index\":1,\"t_start_s\":60",
+                                           "\"index\":0,\"t_start_s\":0")),
+               CheckError);
+  // A row index at or past the header's cap (the writer never exceeds it).
+  EXPECT_THROW(parse_sketch_jsonl(tampered("\"max_windows\":512",
+                                           "\"max_windows\":2")),
+               CheckError);
+  const std::size_t last_row = good.rfind("\"type\":\"window\"");
+  ASSERT_NE(last_row, std::string::npos);
+  const std::size_t index_at = good.find("\"index\":", last_row);
+  const std::size_t width_at = good.find(",\"window_s\"", index_at);
+  std::string far = good;
+  far.replace(index_at, width_at - index_at,
+              "\"index\":1000000,\"t_start_s\":60000000");
+  EXPECT_THROW(parse_sketch_jsonl(far), CheckError);
+  // A cap of zero: every SLO window set is capped.
+  EXPECT_THROW(parse_sketch_jsonl(tampered("\"max_windows\":512",
+                                           "\"max_windows\":0")),
+               CheckError);
+  // Version 1 files carry no per-group widths.
+  EXPECT_THROW(parse_sketch_jsonl(tampered("\"version\":2", "\"version\":1")),
+               CheckError);
 }
 
 // ---------------------------------------------------------------------------

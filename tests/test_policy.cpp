@@ -77,7 +77,9 @@ TEST(Policy, TighterStorageNeverHelps) {
     const SystemModel sys = generate_workload(p2, 105);
     const PolicyResult r = run_replication_policy(sys);
     const double d = objective_total_cached(r.assignment, w);
-    if (previous >= 0) EXPECT_GE(d + 1e-6, previous) << fraction;
+    if (previous >= 0) {
+      EXPECT_GE(d + 1e-6, previous) << fraction;
+    }
     previous = d;
   }
 }

@@ -173,7 +173,9 @@ TEST(Scale, ShardPlanPartitionsServersContiguously) {
     std::uint64_t weight_sum = 0;
     for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
       EXPECT_LT(plan.server_begin(s), plan.server_end(s));  // never empty
-      if (s > 0) EXPECT_EQ(plan.server_begin(s), plan.server_end(s - 1));
+      if (s > 0) {
+        EXPECT_EQ(plan.server_begin(s), plan.server_end(s - 1));
+      }
       weight_sum += plan.weight(s);
       for (ServerId i = plan.server_begin(s); i < plan.server_end(s); ++i) {
         EXPECT_EQ(plan.shard_of(i), s);

@@ -741,6 +741,7 @@ void render_tail_trajectory(const SketchDoc& doc, std::size_t top,
         {group_label(*e),
          std::to_string(static_cast<std::uint64_t>(num_or(*e, "index", 0))),
          format_double(num_or(*e, "t_start_s", 0), 1),
+         format_double(num_or(*e, "window_s", 0), 0),
          std::to_string(
              static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
          format_double(num_or(*e, "p99_s", 0), 3),
@@ -758,8 +759,8 @@ void render_tail_trajectory(const SketchDoc& doc, std::size_t top,
              " windows per group shown (" + std::to_string(omitted) +
              " more omitted; raise --top for the full trajectory).");
   }
-  out.table({"policy/mode", "window", "t [s]", "requests", "p99 [s]",
-             "attainment", "burn"},
+  out.table({"policy/mode", "window", "t [s]", "width [s]", "requests",
+             "p99 [s]", "attainment", "burn"},
             wrows);
 }
 
@@ -794,16 +795,19 @@ void render_hot_objects(const SketchDoc& doc, std::size_t top,
 
 void render_slo(const SketchDoc& doc, ReportWriter& out) {
   out.section("SLO attainment");
-  if (doc.header.has("slo") && doc.header.has("window_s")) {
+  if (doc.header.has("slo")) {
     const JsonValue& slo = doc.header.at("slo");
     out.para("SLO: response <= " +
              format_double(num_or(slo, "response_s", 0), 2) +
              " s AND stretch <= " +
              format_double(num_or(slo, "stretch_x", 0), 2) + "x, target " +
-             format_percent(num_or(slo, "target", 0), 1) + " per " +
+             format_percent(num_or(slo, "target", 0), 1) +
+             " per window. Windows start at " +
              format_double(num_or(doc.header, "window_s", 0), 0) +
-             " s window. Burn 1.0 = failing exactly at the sustainable "
-             "rate.");
+             " s and double to stay within " +
+             format_double(num_or(doc.header, "max_windows", 0), 0) +
+             " per group; each group's own width is listed. Burn 1.0 = "
+             "failing exactly at the sustainable rate.");
   }
   std::vector<std::vector<std::string>> rows;
   for (const JsonValue* e : doc.of_type("slo")) {
@@ -811,6 +815,7 @@ void render_slo(const SketchDoc& doc, ReportWriter& out) {
         {group_label(*e),
          std::to_string(
              static_cast<std::uint64_t>(num_or(*e, "windows", 0))),
+         format_double(num_or(*e, "window_s", 0), 0),
          std::to_string(
              static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
          format_percent(num_or(*e, "attainment", 1), 2),
@@ -821,8 +826,8 @@ void render_slo(const SketchDoc& doc, ReportWriter& out) {
     out.para("(no slo lines in the artifact)");
     return;
   }
-  out.table({"policy/mode", "windows", "requests", "attainment",
-             "worst burn (1w)", "worst burn (6w)"},
+  out.table({"policy/mode", "windows", "width [s]", "requests",
+             "attainment", "worst burn (1w)", "worst burn (6w)"},
             rows);
 }
 
@@ -1108,6 +1113,20 @@ JsonValue read_json_file(const std::string& path) {
   return json_parse(read_artifact_text(path));
 }
 
+/// Truncation never passes silently: a collector that dropped records at
+/// its cap gets a WARNING paragraph in the report and a warning line on
+/// stderr, so scripted callers see it without parsing the report.
+void warn_dropped(ReportWriter& out, const std::string& log,
+                  std::uint64_t dropped, const std::string& unit,
+                  const std::string& consequence) {
+  if (dropped == 0) return;
+  const std::string msg = "the " + log + " log dropped " +
+                          std::to_string(dropped) + " " + unit +
+                          " at its cap; " + consequence + ".";
+  out.para("WARNING: " + msg);
+  std::cerr << "warning: " << msg << "\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1181,11 +1200,8 @@ int main(int argc, char** argv) {
       MMR_CHECK_MSG(doc.schema == "mmr-audit",
                     "'" + audit_path + "' is a " + doc.schema +
                         " artifact, expected mmr-audit");
-      if (doc.declared_dropped > 0) {
-        out.para("NOTE: the audit log dropped " +
-                 std::to_string(doc.declared_dropped) +
-                 " events at its cap; sections below undercount.");
-      }
+      warn_dropped(out, "audit", doc.declared_dropped, "events",
+                   "sections below undercount");
       const auto events = filter_policy(doc, policy, out);
       render_headroom(events, out);
       render_solver_decisions(events, out);
@@ -1198,11 +1214,8 @@ int main(int argc, char** argv) {
       MMR_CHECK_MSG(doc.schema == "mmr-flight",
                     "'" + flight_path + "' is a " + doc.schema +
                         " artifact, expected mmr-flight");
-      if (doc.declared_dropped > 0) {
-        out.para("NOTE: the flight log dropped " +
-                 std::to_string(doc.declared_dropped) +
-                 " records at its cap; the table below undercounts.");
-      }
+      warn_dropped(out, "flight", doc.declared_dropped, "records",
+                   "the table below undercounts");
       const auto events = filter_policy(doc, policy, out);
       render_slowest_pages(events, top, out);
     }
@@ -1216,11 +1229,8 @@ int main(int argc, char** argv) {
     if (!sketch_path.empty()) {
       const SketchDoc doc =
           parse_sketch_jsonl(read_artifact_text(sketch_path));
-      if (doc.declared_dropped > 0) {
-        out.para("NOTE: the telemetry log dropped " +
-                 std::to_string(doc.declared_dropped) +
-                 " shards at its cap; sections below undercount.");
-      }
+      warn_dropped(out, "telemetry", doc.declared_dropped, "shards",
+                   "sections below undercount");
       render_tail_trajectory(doc, top, out);
       render_hot_objects(doc, top, out);
       render_slo(doc, out);
@@ -1228,11 +1238,8 @@ int main(int argc, char** argv) {
     if (!timeseries_path.empty()) {
       const TimeseriesDoc doc =
           parse_timeseries_jsonl(read_artifact_text(timeseries_path));
-      if (doc.declared_dropped > 0) {
-        out.para("NOTE: the timeseries log dropped " +
-                 std::to_string(doc.declared_dropped) +
-                 " shards at its cap; sections below undercount.");
-      }
+      warn_dropped(out, "timeseries", doc.declared_dropped, "shards",
+                   "sections below undercount");
       render_queue_dynamics(doc, top, out);
     }
     if (!invariants_path.empty()) {
