@@ -31,6 +31,7 @@
 
 #include "bench_common.h"
 #include "core/policy.h"
+#include "util/memacct.h"
 #include "util/thread_pool.h"
 #include "workload/scale.h"
 

@@ -52,21 +52,15 @@
 
 #include "core/policy.h"
 #include "io/artifacts.h"
-#include "io/provenance.h"
 #include "io/serialize.h"
-#include "obs/invariants.h"
+#include "obs/artifact_sink.h"
 #include "obs/obs.h"
-#include "obs/sketch_artifact.h"
-#include "obs/timeseries.h"
 #include "sim/des.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
 #include "util/memacct.h"
 #include "util/thread_pool.h"
-#include "util/metrics.h"
-#include "util/telemetry.h"
 #include "util/table.h"
-#include "util/trace.h"
 #include "workload/generator.h"
 #include "workload/stats.h"
 
@@ -273,50 +267,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string& cmd = flags.positional()[0];
-  const std::string metrics_out = flags.get_string("metrics-out", "");
-  const std::string trace_out = flags.get_string("trace-out", "");
-  const std::string audit_out = flags.get_string("audit-out", "");
-  const std::string flight_out = flags.get_string("flight-out", "");
-  const std::string timeline_out = flags.get_string("timeline-out", "");
-  const std::string sketch_out = flags.get_string("sketch-out", "");
-  const std::string timeseries_out = flags.get_string("timeseries-out", "");
-  const std::string invariants_out = flags.get_string("invariants-out", "");
-  {
-    // SLO/window config must be set before any simulate creates a shard.
-    ObsConfig ocfg = obs_config();
-    ocfg.window_s = flags.get_double("window", ocfg.window_s);
-    const std::string slo_spec = flags.get_string("slo", "");
-    if (!slo_spec.empty()) ocfg.slo = parse_slo_spec(slo_spec);
-    set_obs_config(ocfg);
-  }
-  if (!sketch_out.empty()) set_obs_enabled(true);
-  if (!timeseries_out.empty() || !invariants_out.empty()) {
-    // Window config before the first DES simulate creates a shard.
-    TimeseriesConfig tscfg = timeseries_config();
-    tscfg.window_s = flags.get_double("ts-window", tscfg.window_s);
-    tscfg.max_windows = static_cast<std::uint64_t>(flags.get_int(
-        "ts-max-windows", static_cast<std::int64_t>(tscfg.max_windows)));
-    set_timeseries_config(tscfg);
-    set_timeseries_enabled(true);
-  }
-  if (!trace_out.empty()) set_trace_enabled(true);
-  if (!audit_out.empty()) set_audit_enabled(true);
-  if (!flight_out.empty()) {
-    set_flight_enabled(true);
-    set_flight_sample_every(
-        static_cast<std::uint32_t>(flags.get_int("flight-sample", 100)));
-  }
-  set_progress_enabled(flags.get_bool("progress", false));
-  const std::int64_t budget = flags.get_int("mem-budget", 0);
-  if (budget > 0) {
-    memacct::set_budget_bytes(static_cast<std::uint64_t>(budget));
-  }
-  if (!timeline_out.empty()) {
-    TimelineOptions topt;
-    topt.interval_ms = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, flags.get_int("timeline-interval-ms", 100)));
-    global_timeline_sampler().start(topt);
-  }
+  // Collectors and window/SLO settings must be in place before any solve
+  // or simulate creates a shard.
+  const ArtifactSink sink(flags);
   const auto start = std::chrono::steady_clock::now();
   try {
     int rc;
@@ -334,9 +287,7 @@ int main(int argc, char** argv) {
       std::cerr << "unknown command '" << cmd << "'\n" << usage;
       return 1;
     }
-    if (!metrics_out.empty() || !trace_out.empty() || !audit_out.empty() ||
-        !flight_out.empty() || !timeline_out.empty() || !sketch_out.empty() ||
-        !timeseries_out.empty() || !invariants_out.empty()) {
+    if (sink.any()) {
       RunMeta meta;
       meta.tool = "mmrepl_cli";
       meta.add("command", cmd);
@@ -344,33 +295,7 @@ int main(int argc, char** argv) {
                std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
                    .count());
-      if (!metrics_out.empty()) {
-        write_metrics_file(metrics_out, current_metrics().snapshot(), meta);
-      }
-      if (!trace_out.empty()) {
-        write_trace_file(trace_out, Tracer::instance(), meta);
-      }
-      if (!audit_out.empty()) {
-        write_audit_file(audit_out, global_audit_log(), meta);
-      }
-      if (!flight_out.empty()) {
-        write_flight_file(flight_out, global_flight_log(), meta);
-      }
-      if (!timeline_out.empty()) {
-        TimelineSampler& sampler = global_timeline_sampler();
-        const std::uint64_t dropped = sampler.dropped();
-        sampler.stop();
-        write_timeline_file(timeline_out, sampler.snapshot(), dropped, meta);
-      }
-      if (!sketch_out.empty()) {
-        write_sketch_file(sketch_out, global_obs_log(), meta);
-      }
-      if (!timeseries_out.empty()) {
-        write_timeseries_file(timeseries_out, global_timeseries_log(), meta);
-      }
-      if (!invariants_out.empty()) {
-        write_invariants_file(invariants_out, global_timeseries_log(), meta);
-      }
+      sink.write(meta);
     }
     return rc;
   } catch (const memacct::MemBudgetError& e) {

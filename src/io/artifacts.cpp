@@ -3,8 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
-#include <fstream>
-#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -19,24 +17,6 @@ std::string json_number(double v) {
   std::ostringstream os;
   JsonWriter(os).value(v);
   return os.str();
-}
-
-void write_run_meta(JsonWriter& w, const RunMeta& meta) {
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  w.kv("timestamp_utc", iso8601_utc_now());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-}
-
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
 }
 
 }  // namespace
@@ -80,6 +60,15 @@ std::string iso8601_utc_now() {
   return buf;
 }
 
+void write_run_meta(JsonWriter& w, const RunMeta& meta, bool timestamp) {
+  w.key("run_meta").begin_object();
+  w.kv("tool", meta.tool);
+  w.kv("git_describe", build_git_describe());
+  if (timestamp) w.kv("timestamp_utc", iso8601_utc_now());
+  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
+  w.end_object();
+}
+
 std::string build_git_describe() {
 #ifdef MMR_GIT_DESCRIBE
   return MMR_GIT_DESCRIBE;
@@ -92,7 +81,7 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
                         const RunMeta& meta) {
   JsonWriter w(os);
   w.begin_object();
-  write_run_meta(w, meta);
+  write_run_meta(w, meta, /*timestamp=*/true);
 
   w.key("counters").begin_object();
   for (const auto& [name, v] : snapshot.counters) w.kv(name, v);
@@ -144,7 +133,7 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
 
 void write_metrics_file(const std::string& path,
                         const MetricsSnapshot& snapshot, const RunMeta& meta) {
-  write_to_file(path, [&](std::ostream& os) {
+  write_artifact_file(path, [&](std::ostream& os) {
     write_metrics_json(os, snapshot, meta);
   });
 }
@@ -152,7 +141,7 @@ void write_metrics_file(const std::string& path,
 void write_trace_json(std::ostream& os, Tracer& tracer, const RunMeta& meta) {
   JsonWriter w(os);
   w.begin_object();
-  write_run_meta(w, meta);
+  write_run_meta(w, meta, /*timestamp=*/true);
   Tracer::write_events_member(w, tracer.snapshot());
   w.kv("displayTimeUnit", "ms");
   w.end_object();
@@ -161,8 +150,8 @@ void write_trace_json(std::ostream& os, Tracer& tracer, const RunMeta& meta) {
 
 void write_trace_file(const std::string& path, Tracer& tracer,
                       const RunMeta& meta) {
-  write_to_file(path,
-                [&](std::ostream& os) { write_trace_json(os, tracer, meta); });
+  write_artifact_file(
+      path, [&](std::ostream& os) { write_trace_json(os, tracer, meta); });
 }
 
 namespace {
@@ -178,146 +167,95 @@ void write_counter_values(JsonWriter& w, const PerfCounterValues& v) {
 
 void write_timeline_jsonl(std::ostream& os, const TimelineSnapshot& snapshot,
                           std::uint64_t dropped, const RunMeta& meta) {
-  {
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("schema", "mmr-timeline");
-    w.kv("version", std::int64_t{1});
-    w.kv("interval_ms", static_cast<std::uint64_t>(snapshot.interval_ms));
-    w.kv("counters",
-         snapshot.counters_available ? "available" : "unavailable");
-    write_run_meta(w, meta);
-    w.end_object();
-    os << '\n';
-  }
+  write_jsonl_header(
+      os, "mmr-timeline", kTimelineVersion, meta,
+      [&](JsonWriter& w) {
+        w.kv("interval_ms", static_cast<std::uint64_t>(snapshot.interval_ms));
+        w.kv("counters",
+             snapshot.counters_available ? "available" : "unavailable");
+      },
+      /*timestamp=*/true);
   for (const TimelineSample& s : snapshot.samples) {
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("type", "sample");
-    w.kv("t_ms", s.t_ms);
-    w.kv("phase", s.phase);
-    w.kv("rss_bytes", s.rss_bytes);
-    w.kv("peak_rss_bytes", s.peak_rss_bytes);
-    // Every category appears on every line — byte-stable schema.
-    w.key("mem").begin_object();
-    for (std::size_t c = 0; c < memacct::kCategoryCount; ++c) {
-      w.kv(memacct::category_name(static_cast<memacct::Category>(c)),
-           s.mem_current[c]);
-    }
-    w.end_object();
-    w.key("mem_peak").begin_object();
-    for (std::size_t c = 0; c < memacct::kCategoryCount; ++c) {
-      w.kv(memacct::category_name(static_cast<memacct::Category>(c)),
-           s.mem_peak[c]);
-    }
-    w.end_object();
-    if (s.counters_valid) {
-      w.key("counters").begin_object();
-      write_counter_values(w, s.counters);
+    write_jsonl_record(os, "sample", [&](JsonWriter& w) {
+      w.kv("t_ms", s.t_ms);
+      w.kv("phase", s.phase);
+      w.kv("rss_bytes", s.rss_bytes);
+      w.kv("peak_rss_bytes", s.peak_rss_bytes);
+      // Every category appears on every line — byte-stable schema.
+      w.key("mem").begin_object();
+      for (std::size_t c = 0; c < memacct::kCategoryCount; ++c) {
+        w.kv(memacct::category_name(static_cast<memacct::Category>(c)),
+             s.mem_current[c]);
+      }
       w.end_object();
-    }
-    if (!s.metric_deltas.empty()) {
-      w.key("metrics").begin_object();
-      for (const auto& [name, delta] : s.metric_deltas) w.kv(name, delta);
+      w.key("mem_peak").begin_object();
+      for (std::size_t c = 0; c < memacct::kCategoryCount; ++c) {
+        w.kv(memacct::category_name(static_cast<memacct::Category>(c)),
+             s.mem_peak[c]);
+      }
       w.end_object();
-    }
-    w.end_object();
-    os << '\n';
+      if (s.counters_valid) {
+        w.key("counters").begin_object();
+        write_counter_values(w, s.counters);
+        w.end_object();
+      }
+      if (!s.metric_deltas.empty()) {
+        w.key("metrics").begin_object();
+        for (const auto& [name, delta] : s.metric_deltas) w.kv(name, delta);
+        w.end_object();
+      }
+    });
   }
-  {
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("type", "summary");
-    w.kv("samples", static_cast<std::uint64_t>(snapshot.samples.size()));
-    w.kv("dropped", dropped);
-    w.key("phase_perf").begin_object();
-    for (const auto& [phase, totals] : snapshot.phase_perf) {
-      w.key(phase).begin_object();
-      w.kv("entries", totals.entries);
-      write_counter_values(w, totals.values);
-      w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-    os << '\n';
-  }
+  write_jsonl_summary(
+      os, "samples", snapshot.samples.size(), dropped, [&](JsonWriter& w) {
+        w.key("phase_perf").begin_object();
+        for (const auto& [phase, totals] : snapshot.phase_perf) {
+          w.key(phase).begin_object();
+          w.kv("entries", totals.entries);
+          write_counter_values(w, totals.values);
+          w.end_object();
+        }
+        w.end_object();
+      });
 }
 
 void write_timeline_file(const std::string& path,
                          const TimelineSnapshot& snapshot,
                          std::uint64_t dropped, const RunMeta& meta) {
-  write_to_file(path, [&](std::ostream& os) {
+  write_artifact_file(path, [&](std::ostream& os) {
     write_timeline_jsonl(os, snapshot, dropped, meta);
   });
 }
 
 TimelineDoc parse_timeline_jsonl(const std::string& text) {
+  static const JsonlFormat kFormat[] = {{
+      .schema = "mmr-timeline",
+      .version = kTimelineVersion,
+      .count_key = "samples",
+      .header_fields = {"interval_ms", "counters"},
+      .records = {{"sample",
+                   {"t_ms", "phase", "rss_bytes", "peak_rss_bytes", "mem",
+                    "mem_peak"}}},
+  }};
   TimelineDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "timeline line " + std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "timeline header line lacks a 'schema' field");
-      MMR_CHECK_MSG(v.at("schema").str_v == "mmr-timeline",
-                    "unknown timeline schema '" + v.at("schema").str_v + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      doc.interval_ms =
-          static_cast<std::uint32_t>(v.at("interval_ms").num_v);
-      const std::string& counters = v.at("counters").str_v;
-      MMR_CHECK_MSG(counters == "available" || counters == "unavailable",
-                    "timeline 'counters' must be available|unavailable, got '" +
-                        counters + "'");
-      doc.counters_available = counters == "available";
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "timeline line " + std::to_string(line_no) +
-                                     " lacks a 'type' field");
-    const std::string& type = v.at("type").str_v;
-    if (type == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate timeline summary line");
-      doc.has_summary = true;
-      doc.declared_samples =
-          static_cast<std::uint64_t>(v.at("samples").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      if (v.has("phase_perf")) doc.phase_perf = v.at("phase_perf");
-      continue;
-    }
-    MMR_CHECK_MSG(type == "sample", "timeline line " +
-                                        std::to_string(line_no) +
-                                        " has unknown type '" + type + "'");
-    MMR_CHECK_MSG(!doc.has_summary,
-                  "timeline sample line after the summary line");
-    MMR_CHECK_MSG(v.has("t_ms") && v.has("phase") && v.has("mem"),
-                  "timeline sample line " + std::to_string(line_no) +
-                      " lacks t_ms/phase/mem");
-    doc.samples.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "timeline document has no header line");
-  MMR_CHECK_MSG(doc.has_summary, "timeline document has no summary line");
-  MMR_CHECK_MSG(doc.declared_samples == doc.samples.size(),
-                "timeline summary declares " +
-                    std::to_string(doc.declared_samples) + " samples but " +
-                    std::to_string(doc.samples.size()) + " are present");
+  JsonlHooks hooks;
+  hooks.header = [&](const JsonValue& v) {
+    doc.interval_ms = static_cast<std::uint32_t>(v.at("interval_ms").num_v);
+    const std::string& counters = v.at("counters").str_v;
+    MMR_CHECK_MSG(counters == "available" || counters == "unavailable",
+                  "timeline 'counters' must be available|unavailable, got '" +
+                      counters + "'");
+    doc.counters_available = counters == "available";
+  };
+  hooks.summary = [&](const JsonValue& v) {
+    if (v.has("phase_perf")) doc.phase_perf = v.at("phase_perf");
+  };
+  parse_jsonl(text, kFormat, doc, hooks);
   return doc;
 }
 
 TimelineDoc read_timeline_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_timeline_jsonl(buf.str());
+  return parse_timeline_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

@@ -6,18 +6,14 @@
 //                  attached under a top-level "run_meta" key (ignored by
 //                  trace viewers),
 //   mmr-timeline — JSONL resource timeline from the background sampler
-//                  (util/telemetry.h): a header line, one "sample" line per
-//                  tick (RSS, memacct categories, phase, perf counters,
-//                  metric deltas), and a trailing "summary" line with the
-//                  per-phase perf totals. Schema in docs/FORMATS.md. The
-//                  schema is byte-stable; the recorded values are wall-clock
-//                  and inherently non-deterministic (like trace.json).
+//                  (util/telemetry.h), one "sample" line per tick, in the
+//                  io/jsonl.h envelope; its values are wall-clock (like
+//                  trace.json). Schema in docs/FORMATS.md.
 //
 // run_meta records how the numbers were produced: tool name, seed/config
 // fields supplied by the harness, the source revision (git describe, baked
 // in at configure time), an ISO-8601 UTC timestamp and the wall time.
-// Bench harnesses get both writers for free via --metrics-out/--trace-out
-// (bench/bench_common.h); mmrepl_cli exposes the same flags.
+// obs/artifact_sink.h wires every writer to the harness flags.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/jsonl.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -46,6 +43,10 @@ struct RunMeta {
   RunMeta& add(const std::string& key, double value);
   RunMeta& add(const std::string& key, bool value);
 };
+
+/// Writes the "run_meta" member: tool, git_describe, timestamp_utc (only
+/// when `timestamp`), then the harness fields in insertion order.
+void write_run_meta(JsonWriter& w, const RunMeta& meta, bool timestamp);
 
 /// `git describe --always --dirty` of the built source, or "unknown".
 std::string build_git_describe();
@@ -70,16 +71,14 @@ void write_timeline_file(const std::string& path,
                          const TimelineSnapshot& snapshot,
                          std::uint64_t dropped, const RunMeta& meta);
 
-/// Parsed mmr-timeline artifact (tools + round-trip tests).
-struct TimelineDoc {
-  JsonValue header;
-  int version = 0;
+/// mmr-timeline schema version the writer emits and the parser accepts.
+inline constexpr int kTimelineVersion = 1;
+
+/// Parsed mmr-timeline artifact (tools + round-trip tests); `events` holds
+/// the "sample" lines and `declared_events` the summary's "samples".
+struct TimelineDoc : JsonlDoc {
   std::uint32_t interval_ms = 0;
   bool counters_available = false;
-  std::vector<JsonValue> samples;  ///< the "sample" lines, in file order
-  bool has_summary = false;
-  std::uint64_t declared_samples = 0;
-  std::uint64_t declared_dropped = 0;
   JsonValue phase_perf;  ///< summary "phase_perf" object; null if absent
 };
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "io/jsonl.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/stats.h"
@@ -174,11 +174,8 @@ void write_bench_json(std::ostream& os, const BenchArtifact& artifact) {
 }
 
 void write_bench_file(const std::string& path, const BenchArtifact& artifact) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  write_bench_json(os, artifact);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
+  write_artifact_file(
+      path, [&](std::ostream& os) { write_bench_json(os, artifact); });
 }
 
 BenchArtifact parse_bench_json(const std::string& text) {
@@ -230,11 +227,7 @@ BenchArtifact parse_bench_json(const std::string& text) {
 }
 
 BenchArtifact read_bench_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse_bench_json(buf.str());
+  return parse_bench_json(read_artifact_file(path));
 }
 
 void BenchCollector::record(const std::string& name, const std::string& unit,

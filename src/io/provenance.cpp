@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
-#include <functional>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <tuple>
 
 #include "util/check.h"
@@ -27,45 +24,6 @@ thread_local std::uint64_t t_provenance_run = kProvenanceNoRun;
 /// them as -1 so consumers need no knowledge of the sentinel.
 std::int64_t server_field(ServerId i) {
   return i == kInvalidId ? -1 : static_cast<std::int64_t>(i);
-}
-
-/// Capacity fields: unlimited serializes as null (JsonWriter already maps
-/// non-finite doubles to null, so plain kv() does the right thing).
-
-void write_header(std::ostream& os, const char* schema, const RunMeta& meta,
-                  const std::function<void(JsonWriter&)>& extra) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", schema);
-  w.kv("version", std::int64_t{1});
-  if (extra) extra(w);
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
-
-void write_summary(std::ostream& os, std::uint64_t events,
-                   std::uint64_t dropped) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("type", "summary");
-  w.kv("events", events);
-  w.kv("dropped", dropped);
-  w.end_object();
-  os << '\n';
-}
-
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
 }
 
 }  // namespace
@@ -378,9 +336,9 @@ FlightLog& global_flight_log() {
 
 namespace {
 
-void write_event_prefix(JsonWriter& w, const char* type, std::uint64_t run,
+/// The fields every audit/flight record carries after its type.
+void write_event_prefix(JsonWriter& w, std::uint64_t run,
                         const std::string& policy) {
-  w.kv("type", type);
   w.kv("run", run);
   w.kv("policy", policy);
 }
@@ -389,123 +347,112 @@ void write_event_prefix(JsonWriter& w, const char* type, std::uint64_t run,
 
 void write_audit_jsonl(std::ostream& os, const AuditSnapshot& snapshot,
                        const RunMeta& meta) {
-  write_header(os, "mmr-audit", meta, {});
+  write_jsonl_header(os, "mmr-audit", kProvenanceVersion, meta);
   for (const PartitionDecision& e : snapshot.partitions) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "partition", e.run, e.policy);
-    w.kv("page", static_cast<std::uint64_t>(e.page));
-    w.kv("server", server_field(e.server));
-    w.kv("object", static_cast<std::uint64_t>(e.object));
-    w.kv("step", static_cast<std::uint64_t>(e.step));
-    w.kv("local", e.local);
-    w.kv("gain", e.gain);
-    w.kv("d1_before", e.d1_before);
-    w.kv("d1_after", e.d1_after);
-    w.kv("local_after", e.local_after);
-    w.kv("remote_after", e.remote_after);
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "partition", [&](JsonWriter& w) {
+      write_event_prefix(w, e.run, e.policy);
+      w.kv("page", static_cast<std::uint64_t>(e.page));
+      w.kv("server", server_field(e.server));
+      w.kv("object", static_cast<std::uint64_t>(e.object));
+      w.kv("step", static_cast<std::uint64_t>(e.step));
+      w.kv("local", e.local);
+      w.kv("gain", e.gain);
+      w.kv("d1_before", e.d1_before);
+      w.kv("d1_after", e.d1_after);
+      w.kv("local_after", e.local_after);
+      w.kv("remote_after", e.remote_after);
+    });
   }
   for (const EvictionEvent& e : snapshot.evictions) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "evict", e.run, e.policy);
-    w.kv("server", server_field(e.server));
-    w.kv("object", static_cast<std::uint64_t>(e.object));
-    w.kv("step", static_cast<std::uint64_t>(e.step));
-    w.kv("criterion", e.criterion);
-    w.kv("bytes", e.bytes);
-    w.kv("marks_cleared", static_cast<std::uint64_t>(e.marks_cleared));
-    w.kv("repartitioned_pages",
-         static_cast<std::uint64_t>(e.repartitioned_pages));
-    w.kv("repartition_improvements",
-         static_cast<std::uint64_t>(e.repartition_improvements));
-    w.kv("storage_before", e.storage_before);
-    w.kv("storage_after", e.storage_after);
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "evict", [&](JsonWriter& w) {
+      write_event_prefix(w, e.run, e.policy);
+      w.kv("server", server_field(e.server));
+      w.kv("object", static_cast<std::uint64_t>(e.object));
+      w.kv("step", static_cast<std::uint64_t>(e.step));
+      w.kv("criterion", e.criterion);
+      w.kv("bytes", e.bytes);
+      w.kv("marks_cleared", static_cast<std::uint64_t>(e.marks_cleared));
+      w.kv("repartitioned_pages",
+           static_cast<std::uint64_t>(e.repartitioned_pages));
+      w.kv("repartition_improvements",
+           static_cast<std::uint64_t>(e.repartition_improvements));
+      w.kv("storage_before", e.storage_before);
+      w.kv("storage_after", e.storage_after);
+    });
   }
   for (const UnmarkEvent& e : snapshot.unmarks) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "unmark", e.run, e.policy);
-    w.kv("server", server_field(e.server));
-    w.kv("page", static_cast<std::uint64_t>(e.page));
-    w.kv("object", static_cast<std::uint64_t>(e.object));
-    w.kv("compulsory", e.compulsory);
-    w.kv("step", static_cast<std::uint64_t>(e.step));
-    w.kv("criterion", e.criterion);
-    w.kv("load_before", e.load_before);
-    w.kv("load_after", e.load_after);
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "unmark", [&](JsonWriter& w) {
+      write_event_prefix(w, e.run, e.policy);
+      w.kv("server", server_field(e.server));
+      w.kv("page", static_cast<std::uint64_t>(e.page));
+      w.kv("object", static_cast<std::uint64_t>(e.object));
+      w.kv("compulsory", e.compulsory);
+      w.kv("step", static_cast<std::uint64_t>(e.step));
+      w.kv("criterion", e.criterion);
+      w.kv("load_before", e.load_before);
+      w.kv("load_after", e.load_after);
+    });
   }
   for (const OffloadRoundEvent& e : snapshot.offload_rounds) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "offload_round", e.run, e.policy);
-    w.kv("round", static_cast<std::uint64_t>(e.round));
-    w.kv("repo_load_before", e.repo_load_before);
-    w.kv("deficit", e.deficit);
-    w.kv("l1", static_cast<std::uint64_t>(e.l1));
-    w.kv("l2", static_cast<std::uint64_t>(e.l2));
-    w.kv("l3", static_cast<std::uint64_t>(e.l3));
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "offload_round", [&](JsonWriter& w) {
+      write_event_prefix(w, e.run, e.policy);
+      w.kv("round", static_cast<std::uint64_t>(e.round));
+      w.kv("repo_load_before", e.repo_load_before);
+      w.kv("deficit", e.deficit);
+      w.kv("l1", static_cast<std::uint64_t>(e.l1));
+      w.kv("l2", static_cast<std::uint64_t>(e.l2));
+      w.kv("l3", static_cast<std::uint64_t>(e.l3));
+    });
   }
   for (const OffloadAnswerEvent& e : snapshot.offload_answers) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "offload_answer", e.run, e.policy);
-    w.kv("round", static_cast<std::uint64_t>(e.round));
-    w.kv("server", server_field(e.server));
-    w.kv("requested", e.requested);
-    w.kv("achieved", e.achieved);
-    w.kv("moved_to_l3", e.moved_to_l3);
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "offload_answer", [&](JsonWriter& w) {
+      write_event_prefix(w, e.run, e.policy);
+      w.kv("round", static_cast<std::uint64_t>(e.round));
+      w.kv("server", server_field(e.server));
+      w.kv("requested", e.requested);
+      w.kv("achieved", e.achieved);
+      w.kv("moved_to_l3", e.moved_to_l3);
+    });
   }
   for (const HeadroomStamp& e : snapshot.headroom) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "headroom", e.run, e.policy);
-    w.kv("phase", kAuditPhaseNames[e.phase]);
-    w.kv("server", server_field(e.server));
-    w.kv("proc_load", e.proc_load);
-    w.kv("proc_capacity", e.proc_capacity);  // null when unlimited
-    w.key("proc_headroom");
-    if (e.proc_capacity == kUnlimited) {
-      w.null();
-    } else {
-      w.value(e.proc_capacity - e.proc_load);
-    }
-    if (e.server != kInvalidId) {
-      w.kv("storage_used", e.storage_used);
-      w.kv("storage_capacity", e.storage_capacity);
-      w.kv("storage_headroom", static_cast<std::int64_t>(e.storage_capacity) -
-                                   static_cast<std::int64_t>(e.storage_used));
-    }
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "headroom", [&](JsonWriter& w) {
+      write_event_prefix(w, e.run, e.policy);
+      w.kv("phase", kAuditPhaseNames[e.phase]);
+      w.kv("server", server_field(e.server));
+      // Unlimited capacity serializes as null (JsonWriter maps non-finite
+      // doubles to null).
+      w.kv("proc_load", e.proc_load);
+      w.kv("proc_capacity", e.proc_capacity);
+      w.key("proc_headroom");
+      if (e.proc_capacity == kUnlimited) {
+        w.null();
+      } else {
+        w.value(e.proc_capacity - e.proc_load);
+      }
+      if (e.server != kInvalidId) {
+        w.kv("storage_used", e.storage_used);
+        w.kv("storage_capacity", e.storage_capacity);
+        w.kv("storage_headroom",
+             static_cast<std::int64_t>(e.storage_capacity) -
+                 static_cast<std::int64_t>(e.storage_used));
+      }
+    });
   }
   for (const ReplicaDegreeEvent& e : snapshot.replicas) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "replica", e.run, e.policy);
-    w.kv("object", static_cast<std::uint64_t>(e.object));
-    w.kv("degree", static_cast<std::uint64_t>(e.degree));
-    w.kv("bytes", e.bytes);
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "replica", [&](JsonWriter& w) {
+      write_event_prefix(w, e.run, e.policy);
+      w.kv("object", static_cast<std::uint64_t>(e.object));
+      w.kv("degree", static_cast<std::uint64_t>(e.degree));
+      w.kv("bytes", e.bytes);
+    });
   }
-  write_summary(os, snapshot.total_events(), snapshot.dropped);
+  write_jsonl_summary(os, "events", snapshot.total_events(), snapshot.dropped);
 }
 
 void write_audit_file(const std::string& path, const AuditLog& log,
                       const RunMeta& meta) {
   const AuditSnapshot snapshot = log.snapshot();
-  write_to_file(path, [&](std::ostream& os) {
+  write_artifact_file(path, [&](std::ostream& os) {
     write_audit_jsonl(os, snapshot, meta);
   });
 }
@@ -513,47 +460,47 @@ void write_audit_file(const std::string& path, const AuditLog& log,
 void write_flight_jsonl(std::ostream& os,
                         const std::vector<FlightRecord>& records,
                         std::uint64_t dropped, const RunMeta& meta) {
-  write_header(os, "mmr-flight", meta, [](JsonWriter& w) {
-    w.kv("sample_every", static_cast<std::uint64_t>(flight_sample_every()));
-  });
+  write_jsonl_header(os, "mmr-flight", kProvenanceVersion, meta,
+                     [](JsonWriter& w) {
+                       w.kv("sample_every", static_cast<std::uint64_t>(
+                                                flight_sample_every()));
+                     });
   for (const FlightRecord& r : records) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_event_prefix(w, "request", r.run, r.policy);
-    w.kv("mode", flight_mode_name(r.mode));
-    w.kv("server", server_field(r.server));
-    w.kv("page", static_cast<std::uint64_t>(r.page));
-    w.kv("index", static_cast<std::uint64_t>(r.index));
-    w.kv("t_local", r.t_local);
-    w.kv("t_remote", r.t_remote);
-    w.kv("response", r.response);
-    w.kv("bound", r.remote_bound ? "remote" : "local");
-    w.kv("local_stretch", r.local_stretch);
-    w.kv("repo_stretch", r.repo_stretch);
-    w.kv("optional_requested",
-         static_cast<std::uint64_t>(r.optional_requested));
-    w.kv("optional_time", r.optional_time);
-    w.kv("cache_hits", static_cast<std::uint64_t>(r.cache_hits));
-    w.kv("cache_misses", static_cast<std::uint64_t>(r.cache_misses));
-    w.kv("throttled", static_cast<std::uint64_t>(r.throttled));
-    if (r.mode == FlightMode::kDes) {
-      w.kv("local_wait", r.local_wait);
-      w.kv("local_service", r.local_service);
-      w.kv("repo_wait", r.repo_wait);
-      w.kv("repo_service", r.repo_service);
-      w.kv("queue_depth", static_cast<std::uint64_t>(r.queue_depth));
-    }
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "request", [&](JsonWriter& w) {
+      write_event_prefix(w, r.run, r.policy);
+      w.kv("mode", flight_mode_name(r.mode));
+      w.kv("server", server_field(r.server));
+      w.kv("page", static_cast<std::uint64_t>(r.page));
+      w.kv("index", static_cast<std::uint64_t>(r.index));
+      w.kv("t_local", r.t_local);
+      w.kv("t_remote", r.t_remote);
+      w.kv("response", r.response);
+      w.kv("bound", r.remote_bound ? "remote" : "local");
+      w.kv("local_stretch", r.local_stretch);
+      w.kv("repo_stretch", r.repo_stretch);
+      w.kv("optional_requested",
+           static_cast<std::uint64_t>(r.optional_requested));
+      w.kv("optional_time", r.optional_time);
+      w.kv("cache_hits", static_cast<std::uint64_t>(r.cache_hits));
+      w.kv("cache_misses", static_cast<std::uint64_t>(r.cache_misses));
+      w.kv("throttled", static_cast<std::uint64_t>(r.throttled));
+      if (r.mode == FlightMode::kDes) {
+        w.kv("local_wait", r.local_wait);
+        w.kv("local_service", r.local_service);
+        w.kv("repo_wait", r.repo_wait);
+        w.kv("repo_service", r.repo_service);
+        w.kv("queue_depth", static_cast<std::uint64_t>(r.queue_depth));
+      }
+    });
   }
-  write_summary(os, records.size(), dropped);
+  write_jsonl_summary(os, "events", records.size(), dropped);
 }
 
 void write_flight_file(const std::string& path, const FlightLog& log,
                        const RunMeta& meta) {
   const std::vector<FlightRecord> records = log.snapshot();
   const std::uint64_t dropped = log.dropped();
-  write_to_file(path, [&](std::ostream& os) {
+  write_artifact_file(path, [&](std::ostream& os) {
     write_flight_jsonl(os, records, dropped, meta);
   });
 }
@@ -562,58 +509,46 @@ void write_flight_file(const std::string& path, const FlightLog& log,
 // Parser
 
 ProvenanceDoc parse_provenance_jsonl(const std::string& text) {
+  static const JsonlFormat kFormats[] = {
+      {.schema = "mmr-audit",
+       .version = kProvenanceVersion,
+       .record_fields = {"run", "policy"},
+       .records =
+           {{"partition",
+             {"page", "server", "object", "step", "local", "gain", "d1_before",
+              "d1_after", "local_after", "remote_after"}},
+            {"evict",
+             {"server", "object", "step", "criterion", "bytes",
+              "marks_cleared", "repartitioned_pages",
+              "repartition_improvements", "storage_before", "storage_after"}},
+            {"unmark",
+             {"server", "page", "object", "compulsory", "step", "criterion",
+              "load_before", "load_after"}},
+            {"offload_round",
+             {"round", "repo_load_before", "deficit", "l1", "l2", "l3"}},
+            {"offload_answer",
+             {"round", "server", "requested", "achieved", "moved_to_l3"}},
+            {"headroom",
+             {"phase", "server", "proc_load", "proc_capacity",
+              "proc_headroom"}},
+            {"replica", {"object", "degree", "bytes"}}}},
+      {.schema = "mmr-flight",
+       .version = kProvenanceVersion,
+       .header_fields = {"sample_every"},
+       .record_fields = {"run", "policy"},
+       .records = {{"request",
+                    {"mode", "server", "page", "index", "t_local", "t_remote",
+                     "response", "bound", "local_stretch", "repo_stretch",
+                     "optional_requested", "optional_time", "cache_hits",
+                     "cache_misses", "throttled"}}}},
+  };
   ProvenanceDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "provenance line " + std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "provenance header line lacks a 'schema' field");
-      doc.schema = v.at("schema").str_v;
-      MMR_CHECK_MSG(doc.schema == "mmr-audit" || doc.schema == "mmr-flight",
-                    "unknown provenance schema '" + doc.schema + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "provenance line " + std::to_string(line_no) +
-                                     " lacks a 'type' field");
-    if (v.at("type").str_v == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate provenance summary line");
-      doc.has_summary = true;
-      doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      continue;
-    }
-    MMR_CHECK_MSG(!doc.has_summary,
-                  "provenance event after the summary line");
-    doc.events.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "provenance document has no header line");
-  if (doc.has_summary) {
-    MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
-                  "provenance summary declares " +
-                      std::to_string(doc.declared_events) + " events but " +
-                      std::to_string(doc.events.size()) + " are present");
-  }
+  parse_jsonl(text, kFormats, doc);
   return doc;
 }
 
 ProvenanceDoc read_provenance_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse_provenance_jsonl(buffer.str());
+  return parse_provenance_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "io/artifacts.h"
+#include "io/jsonl.h"
 #include "model/entities.h"
 #include "util/json.h"
 
@@ -322,6 +323,10 @@ FlightLog& global_flight_log();
 // ---------------------------------------------------------------------------
 // Artifact writers & parser (schemas in docs/FORMATS.md).
 
+/// mmr-audit / mmr-flight schema version the writers emit and the parser
+/// accepts.
+inline constexpr int kProvenanceVersion = 1;
+
 void write_audit_jsonl(std::ostream& os, const AuditSnapshot& snapshot,
                        const RunMeta& meta);
 void write_audit_file(const std::string& path, const AuditLog& log,
@@ -333,19 +338,13 @@ void write_flight_jsonl(std::ostream& os,
 void write_flight_file(const std::string& path, const FlightLog& log,
                        const RunMeta& meta);
 
-/// Parsed JSONL provenance artifact (either schema).
-struct ProvenanceDoc {
-  std::string schema;   ///< "mmr-audit" or "mmr-flight"
-  int version = 0;
-  JsonValue header;     ///< the full header line (run_meta etc.)
-  std::vector<JsonValue> events;  ///< every line between header and summary
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
-};
+/// Parsed JSONL provenance artifact (either schema): `schema` is
+/// "mmr-audit" or "mmr-flight".
+struct ProvenanceDoc : JsonlDoc {};
 
-/// Parses a JSONL provenance document; throws CheckError on malformed input
-/// or a summary whose event count disagrees with the lines present.
+/// Strict parse (io/jsonl.h) of either schema: audit records must be one of
+/// partition/evict/unmark/offload_round/offload_answer/headroom/replica,
+/// flight records "request", each with its fields. Throws CheckError.
 ProvenanceDoc parse_provenance_jsonl(const std::string& text);
 
 /// Reads and parses a provenance artifact file.

@@ -1,12 +1,12 @@
 #include "io/serialize.h"
 
-#include <fstream>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 
+#include "io/jsonl.h"
 #include "util/check.h"
 
 namespace mmr {
@@ -268,27 +268,22 @@ Assignment load_assignment(const SystemModel& sys, std::istream& is) {
 }
 
 void save_system_file(const SystemModel& sys, const std::string& path) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  save_system(sys, os);
+  write_artifact_file(path, [&](std::ostream& os) { save_system(sys, os); });
 }
 
 SystemModel load_system_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.is_open(), "cannot open " << path);
+  std::istringstream is(read_artifact_file(path));
   return load_system(is);
 }
 
 void save_assignment_file(const Assignment& asg, const std::string& path) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  save_assignment(asg, os);
+  write_artifact_file(path,
+                      [&](std::ostream& os) { save_assignment(asg, os); });
 }
 
 Assignment load_assignment_file(const SystemModel& sys,
                                 const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.is_open(), "cannot open " << path);
+  std::istringstream is(read_artifact_file(path));
   return load_assignment(sys, is);
 }
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "io/artifacts.h"
+#include "io/jsonl.h"
 #include "obs/timeseries.h"
 #include "util/json.h"
 
@@ -74,6 +75,9 @@ InvariantsReport audit_timeseries(const std::vector<TimeseriesShard>& groups,
 // ---------------------------------------------------------------------------
 // mmr-invariants artifact (schema in docs/FORMATS.md).
 
+/// mmr-invariants schema version the writer emits and the parser accepts.
+inline constexpr int kInvariantsVersion = 1;
+
 void write_invariants_jsonl(std::ostream& os, const InvariantsReport& report,
                             const InvariantTolerances& tol,
                             const RunMeta& meta);
@@ -84,22 +88,17 @@ void write_invariants_file(const std::string& path, const TimeseriesLog& log,
                            const RunMeta& meta,
                            const InvariantTolerances& tol = {});
 
-/// Parsed mmr-invariants document.
-struct InvariantsDoc {
-  std::string schema;
-  int version = 0;
-  JsonValue header;
+/// Parsed mmr-invariants document. The "check" lines are in `checks` (the
+/// base `events` is left empty).
+struct InvariantsDoc : JsonlDoc {
   std::vector<JsonValue> checks;  ///< the "check" lines, in file order
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
   std::uint64_t declared_violations = 0;
   bool declared_ok = true;
 };
 
-/// Strict parse: checks the schema name, per-line fields, that each line's
-/// verdict matches its own error/tolerance, and that the summary's
-/// violation count matches the failed lines. Throws CheckError on
+/// Strict parse: the io/jsonl.h envelope and record fields, then that each
+/// line's verdict matches its own error/tolerance and that the summary's
+/// violation count and verdict match the failed lines. Throws CheckError on
 /// violation.
 InvariantsDoc parse_invariants_jsonl(const std::string& text);
 InvariantsDoc read_invariants_file(const std::string& path);

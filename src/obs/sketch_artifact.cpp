@@ -1,10 +1,6 @@
 #include "obs/sketch_artifact.h"
 
-#include <fstream>
-#include <functional>
-#include <initializer_list>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -12,135 +8,80 @@ namespace mmr {
 
 namespace {
 
-void write_header(std::ostream& os, const ObsConfig& config,
-                  const RunMeta& meta) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", "mmr-sketch");
-  w.kv("version", std::int64_t{kSketchVersion});
-  w.kv("alpha", config.alpha);
-  w.kv("gamma", (1.0 + config.alpha) / (1.0 - config.alpha));
-  w.kv("max_buckets", std::uint64_t{config.max_buckets});
-  w.kv("hot_capacity", std::uint64_t{config.hot_capacity});
-  w.kv("window_s", config.window_s);
-  w.kv("max_windows", kDefaultMaxWindows);
-  w.key("slo").begin_object();
-  w.kv("response_s", config.slo.response_s);
-  w.kv("stretch_x", config.slo.stretch_x);
-  w.kv("target", config.slo.target);
-  w.end_object();
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
-
-void write_group_prefix(JsonWriter& w, const char* type,
-                        const ObsShard& group) {
-  w.kv("type", type);
+void write_group_prefix(JsonWriter& w, const ObsShard& group) {
   w.kv("policy", group.policy);
   w.kv("mode", flight_mode_name(group.mode));
 }
 
-std::uint64_t write_sketch_line(std::ostream& os, const ObsShard& group,
-                                const char* metric,
-                                const QuantileSketch& sketch) {
-  JsonWriter w(os);
-  w.begin_object();
-  write_group_prefix(w, "sketch", group);
-  w.kv("metric", metric);
-  w.kv("count", sketch.count());
-  w.kv("zero", sketch.zero_count());
-  w.kv("sum", sketch.sum());
-  w.kv("min", sketch.min());
-  w.kv("max", sketch.max());
-  w.kv("collapses", sketch.collapses());
-  if (!sketch.empty()) {
-    w.kv("p50", sketch.quantile(0.50));
-    w.kv("p90", sketch.quantile(0.90));
-    w.kv("p99", sketch.quantile(0.99));
-    w.kv("p999", sketch.quantile(0.999));
-  }
-  w.key("buckets").begin_array();
-  for (const auto& [index, count] : sketch.buckets()) {
-    w.begin_array();
-    w.value(std::int64_t{index});
-    w.value(count);
+void write_sketch_line(std::ostream& os, const ObsShard& group,
+                       const char* metric, const QuantileSketch& sketch) {
+  write_jsonl_record(os, "sketch", [&](JsonWriter& w) {
+    write_group_prefix(w, group);
+    w.kv("metric", metric);
+    w.kv("count", sketch.count());
+    w.kv("zero", sketch.zero_count());
+    w.kv("sum", sketch.sum());
+    w.kv("min", sketch.min());
+    w.kv("max", sketch.max());
+    w.kv("collapses", sketch.collapses());
+    if (!sketch.empty()) {
+      w.kv("p50", sketch.quantile(0.50));
+      w.kv("p90", sketch.quantile(0.90));
+      w.kv("p99", sketch.quantile(0.99));
+      w.kv("p999", sketch.quantile(0.999));
+    }
+    w.key("buckets").begin_array();
+    for (const auto& [index, count] : sketch.buckets()) {
+      w.begin_array();
+      w.value(std::int64_t{index});
+      w.value(count);
+      w.end_array();
+    }
     w.end_array();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
-  return 1;
+  });
 }
 
-std::uint64_t write_hot_lines(std::ostream& os, const ObsShard& group) {
-  std::uint64_t lines = 0;
+/// Writes one (policy, mode) group; returns its record count.
+std::uint64_t write_group(std::ostream& os, const ObsShard& group) {
+  write_sketch_line(os, group, "response", group.response);
+  write_sketch_line(os, group, "stretch", group.stretch);
   std::uint64_t rank = 0;
   for (const SpaceSavingTracker::Entry& e : group.hot.top()) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_group_prefix(w, "hot", group);
-    w.kv("rank", ++rank);
-    w.kv("page", std::uint64_t{hot_key_page(e.key)});
-    w.kv("server", std::uint64_t{hot_key_server(e.key)});
-    w.kv("count", e.count);
-    w.kv("error", e.error);
-    w.kv("miss_cost_s", e.weight);
-    w.end_object();
-    os << '\n';
-    ++lines;
+    write_jsonl_record(os, "hot", [&](JsonWriter& w) {
+      write_group_prefix(w, group);
+      w.kv("rank", ++rank);
+      w.kv("page", std::uint64_t{hot_key_page(e.key)});
+      w.kv("server", std::uint64_t{hot_key_server(e.key)});
+      w.kv("count", e.count);
+      w.kv("error", e.error);
+      w.kv("miss_cost_s", e.weight);
+    });
   }
-  return lines;
-}
-
-std::uint64_t write_window_lines(std::ostream& os, const ObsShard& group,
-                                 const SloReport& report) {
+  const SloReport report = group.windows.evaluate();
   for (const SloWindowRow& row : report.windows) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_group_prefix(w, "window", group);
-    w.kv("index", row.index);
-    w.kv("t_start_s", row.t_start_s);
-    w.kv("window_s", report.window_s);
-    w.kv("requests", row.total);
-    w.kv("good", row.good);
-    w.kv("attainment", row.attainment);
-    w.kv("burn", row.burn);
-    w.kv("p99_s", row.p99_s);
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "window", [&](JsonWriter& w) {
+      write_group_prefix(w, group);
+      w.kv("index", row.index);
+      w.kv("t_start_s", row.t_start_s);
+      w.kv("window_s", report.window_s);
+      w.kv("requests", row.total);
+      w.kv("good", row.good);
+      w.kv("attainment", row.attainment);
+      w.kv("burn", row.burn);
+      w.kv("p99_s", row.p99_s);
+    });
   }
-  return report.windows.size();
-}
-
-std::uint64_t write_slo_line(std::ostream& os, const ObsShard& group,
-                             const SloReport& report) {
-  JsonWriter w(os);
-  w.begin_object();
-  write_group_prefix(w, "slo", group);
-  w.kv("windows", static_cast<std::uint64_t>(report.windows.size()));
-  w.kv("window_s", report.window_s);
-  w.kv("requests", report.total);
-  w.kv("good", report.good);
-  w.kv("attainment", report.attainment);
-  w.kv("worst_burn_1", report.worst_burn_1);
-  w.kv("worst_burn_6", report.worst_burn_6);
-  w.end_object();
-  os << '\n';
-  return 1;
-}
-
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
+  write_jsonl_record(os, "slo", [&](JsonWriter& w) {
+    write_group_prefix(w, group);
+    w.kv("windows", static_cast<std::uint64_t>(report.windows.size()));
+    w.kv("window_s", report.window_s);
+    w.kv("requests", report.total);
+    w.kv("good", report.good);
+    w.kv("attainment", report.attainment);
+    w.kv("worst_burn_1", report.worst_burn_1);
+    w.kv("worst_burn_6", report.worst_burn_6);
+  });
+  return 3 + rank + report.windows.size();
 }
 
 }  // namespace
@@ -148,57 +89,39 @@ void write_to_file(const std::string& path,
 void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
                         const ObsConfig& config, std::uint64_t dropped,
                         const RunMeta& meta) {
-  write_header(os, config, meta);
+  write_jsonl_header(os, "mmr-sketch", kSketchVersion, meta,
+                     [&](JsonWriter& w) {
+                       w.kv("alpha", config.alpha);
+                       w.kv("gamma",
+                            (1.0 + config.alpha) / (1.0 - config.alpha));
+                       w.kv("max_buckets", std::uint64_t{config.max_buckets});
+                       w.kv("hot_capacity",
+                            std::uint64_t{config.hot_capacity});
+                       w.kv("window_s", config.window_s);
+                       w.kv("max_windows", kDefaultMaxWindows);
+                       w.key("slo").begin_object();
+                       w.kv("response_s", config.slo.response_s);
+                       w.kv("stretch_x", config.slo.stretch_x);
+                       w.kv("target", config.slo.target);
+                       w.end_object();
+                     });
   std::uint64_t events = 0;
-  for (const ObsShard& group : groups) {
-    events += write_sketch_line(os, group, "response", group.response);
-    events += write_sketch_line(os, group, "stretch", group.stretch);
-    events += write_hot_lines(os, group);
-    const SloReport report = group.windows.evaluate();
-    events += write_window_lines(os, group, report);
-    events += write_slo_line(os, group, report);
-  }
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("type", "summary");
-  w.kv("events", events);
-  w.kv("dropped", dropped);
-  w.end_object();
-  os << '\n';
+  for (const ObsShard& group : groups) events += write_group(os, group);
+  write_jsonl_summary(os, "events", events, dropped);
 }
 
 void write_sketch_file(const std::string& path, const ObsLog& log,
                        const RunMeta& meta) {
   const std::vector<ObsShard> groups = log.snapshot();
   const std::uint64_t dropped = log.dropped();
-  write_to_file(path, [&](std::ostream& os) {
+  write_artifact_file(path, [&](std::ostream& os) {
     write_sketch_jsonl(os, groups, obs_config(), dropped, meta);
   });
 }
 
-std::vector<const JsonValue*> SketchDoc::of_type(
-    const std::string& type) const {
-  std::vector<const JsonValue*> out;
-  for (const JsonValue& e : events) {
-    if (e.at("type").str_v == type) out.push_back(&e);
-  }
-  return out;
-}
-
 namespace {
 
-void require_fields(const JsonValue& v, const std::string& where,
-                    std::initializer_list<const char*> fields) {
-  for (const char* field : fields) {
-    MMR_CHECK_MSG(v.has(field), where + " lacks the '" + field + "' field");
-  }
-}
-
-void check_sketch_event(const JsonValue& v, std::size_t line_no) {
-  const std::string where = "sketch line " + std::to_string(line_no);
-  require_fields(v, where,
-                 {"policy", "mode", "metric", "count", "zero", "sum", "min",
-                  "max", "buckets"});
+void check_sketch_event(const JsonValue& v, const std::string& where) {
   const auto count = static_cast<std::uint64_t>(v.at("count").num_v);
   std::uint64_t mass = static_cast<std::uint64_t>(v.at("zero").num_v);
   for (const JsonValue& pair : v.at("buckets").arr) {
@@ -233,9 +156,6 @@ struct WindowGroup {
   }
 
   void window(const JsonValue& v, const std::string& where) {
-    require_fields(v, where,
-                   {"policy", "mode", "index", "t_start_s", "window_s",
-                    "requests", "good", "attainment"});
     const double index = v.at("index").num_v;
     const double width = v.at("window_s").num_v;
     if (!open) {
@@ -268,7 +188,6 @@ struct WindowGroup {
   }
 
   void slo(const JsonValue& v, const std::string& where) {
-    require_fields(v, where, {"policy", "mode", "windows", "window_s"});
     const double width = v.at("window_s").num_v;
     check_width(width, where);
     if (open) {
@@ -286,84 +205,54 @@ struct WindowGroup {
 }  // namespace
 
 SketchDoc parse_sketch_jsonl(const std::string& text) {
+  static const JsonlFormat kFormat[] = {{
+      .schema = "mmr-sketch",
+      .version = kSketchVersion,
+      .header_fields = {"alpha", "window_s", "max_windows", "slo"},
+      .record_fields = {"policy", "mode"},
+      .records =
+          {{"sketch",
+            {"metric", "count", "zero", "sum", "min", "max", "collapses",
+             "buckets"}},
+           {"hot", {"rank", "page", "server", "count", "error", "miss_cost_s"}},
+           {"window",
+            {"index", "t_start_s", "window_s", "requests", "good",
+             "attainment", "burn", "p99_s"}},
+           {"slo",
+            {"windows", "window_s", "requests", "good", "attainment",
+             "worst_burn_1", "worst_burn_6"}}},
+  }};
   SketchDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
   WindowGroup windows;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "sketch line " + std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "sketch header line lacks a 'schema' field");
-      doc.schema = v.at("schema").str_v;
-      MMR_CHECK_MSG(doc.schema == "mmr-sketch",
-                    "unknown sketch schema '" + doc.schema + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      MMR_CHECK_MSG(doc.version == kSketchVersion,
-                    "unsupported sketch version " +
-                        std::to_string(doc.version) + " (expected " +
-                        std::to_string(kSketchVersion) + ")");
-      MMR_CHECK_MSG(v.has("alpha") && v.has("window_s") &&
-                        v.has("max_windows") && v.has("slo"),
-                    "sketch header lacks the telemetry config");
-      windows.base_s = v.at("window_s").num_v;
-      MMR_CHECK_MSG(windows.base_s > 0, "sketch window_s must be > 0");
-      MMR_CHECK_MSG(v.at("max_windows").num_v >= 1,
-                    "sketch max_windows must be >= 1");
-      windows.max_windows =
-          static_cast<std::uint64_t>(v.at("max_windows").num_v);
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "sketch line " + std::to_string(line_no) +
-                                     " lacks a 'type' field");
+  JsonlHooks hooks;
+  hooks.header = [&](const JsonValue& v) {
+    windows.base_s = v.at("window_s").num_v;
+    MMR_CHECK_MSG(windows.base_s > 0, "sketch window_s must be > 0");
+    MMR_CHECK_MSG(v.at("max_windows").num_v >= 1,
+                  "sketch max_windows must be >= 1");
+    windows.max_windows = static_cast<std::uint64_t>(v.at("max_windows").num_v);
+  };
+  hooks.record = [&](const JsonValue& v, std::size_t line_no) {
     const std::string& type = v.at("type").str_v;
-    if (type == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate sketch summary line");
-      MMR_CHECK_MSG(!windows.open,
-                    "sketch window rows lack their group's slo line");
-      doc.has_summary = true;
-      doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      continue;
-    }
-    MMR_CHECK_MSG(!doc.has_summary, "sketch event after the summary line");
+    const std::string where = type + " line " + std::to_string(line_no);
     if (type == "sketch") {
-      check_sketch_event(v, line_no);
+      check_sketch_event(v, where);
     } else if (type == "window") {
-      windows.window(v, "window line " + std::to_string(line_no));
+      windows.window(v, where);
     } else if (type == "slo") {
-      windows.slo(v, "slo line " + std::to_string(line_no));
-    } else {
-      MMR_CHECK_MSG(type == "hot",
-                    "unknown sketch event type '" + type + "' on line " +
-                        std::to_string(line_no));
+      windows.slo(v, where);
     }
-    doc.events.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "sketch document has no header line");
-  MMR_CHECK_MSG(doc.has_summary, "sketch document has no summary line");
-  MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
-                "sketch summary declares " +
-                    std::to_string(doc.declared_events) + " events but " +
-                    std::to_string(doc.events.size()) + " are present");
+  };
+  hooks.summary = [&](const JsonValue&) {
+    MMR_CHECK_MSG(!windows.open,
+                  "sketch window rows lack their group's slo line");
+  };
+  parse_jsonl(text, kFormat, doc, hooks);
   return doc;
 }
 
 SketchDoc read_sketch_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse_sketch_jsonl(buffer.str());
+  return parse_sketch_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "io/artifacts.h"
+#include "io/jsonl.h"
 #include "obs/obs.h"
 #include "util/json.h"
 
@@ -35,27 +36,14 @@ void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
 void write_sketch_file(const std::string& path, const ObsLog& log,
                        const RunMeta& meta);
 
-/// Parsed mmr-sketch document. `events` holds every non-header,
-/// non-summary line as raw JSON.
-struct SketchDoc {
-  std::string schema;
-  int version = 0;
-  JsonValue header;
-  std::vector<JsonValue> events;
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
+/// Parsed mmr-sketch document; `events` holds every record line.
+struct SketchDoc : JsonlDoc {};
 
-  /// Events of one type, in file order.
-  std::vector<const JsonValue*> of_type(const std::string& type) const;
-};
-
-/// Strict parse: checks the schema name and version, known event types,
+/// Strict parse: the io/jsonl.h envelope and record fields, then
 /// per-sketch bucket-count consistency (zero + sum of buckets == count),
 /// and per group that every window width is base × 2^k and shared with the
 /// slo line, t_start_s == index × window_s, indices ascend and stay below
-/// max_windows, and good <= requests; then the summary count. Throws
-/// CheckError on violation.
+/// max_windows, and good <= requests. Throws CheckError on violation.
 SketchDoc parse_sketch_jsonl(const std::string& text);
 SketchDoc read_sketch_file(const std::string& path);
 

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <fstream>
-#include <functional>
-#include <initializer_list>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <tuple>
 
 #include "util/check.h"
@@ -213,26 +209,7 @@ TimeseriesLog& global_timeseries_log() {
 
 namespace {
 
-void write_ts_header(std::ostream& os, const TimeseriesConfig& config,
-                     const RunMeta& meta) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", "mmr-timeseries");
-  w.kv("version", std::int64_t{1});
-  w.kv("window_s", config.window_s);
-  w.kv("max_windows", config.max_windows);
-  w.key("run_meta").begin_object();
-  w.kv("tool", meta.tool);
-  w.kv("git_describe", build_git_describe());
-  for (const auto& [key, raw] : meta.fields) w.key(key).raw(raw);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
-
-void write_ts_prefix(JsonWriter& w, const char* type,
-                     const TimeseriesShard& group) {
-  w.kv("type", type);
+void write_ts_prefix(JsonWriter& w, const TimeseriesShard& group) {
   w.kv("policy", group.policy);
   w.kv("mode", flight_mode_name(group.mode));
 }
@@ -243,55 +220,46 @@ std::int32_t station_id(const TimeseriesShard& group, std::size_t index) {
              : static_cast<std::int32_t>(index);
 }
 
-std::uint64_t write_series_line(std::ostream& os,
-                                const TimeseriesShard& group) {
-  JsonWriter w(os);
-  w.begin_object();
-  write_ts_prefix(w, "series", group);
-  w.kv("runs", group.runs);
-  w.kv("stations", static_cast<std::uint64_t>(group.stations.size()));
-  w.kv("server_concurrency",
-       static_cast<std::uint64_t>(group.server_concurrency));
-  w.kv("repo_concurrency", static_cast<std::uint64_t>(group.repo_concurrency));
-  w.kv("horizon_s", group.horizon_s);
-  w.kv("arrivals", group.des_arrivals);
-  w.kv("completions", group.des_completions);
-  w.kv("rejects", group.des_rejects);
-  w.kv("redirects", group.des_redirects);
-  w.kv("server_busy_s", group.des_server_busy_s);
-  w.kv("repo_busy_s", group.des_repo_busy_s);
-  w.end_object();
-  os << '\n';
-  return 1;
+void write_series_line(std::ostream& os, const TimeseriesShard& group) {
+  write_jsonl_record(os, "series", [&](JsonWriter& w) {
+    write_ts_prefix(w, group);
+    w.kv("runs", group.runs);
+    w.kv("stations", static_cast<std::uint64_t>(group.stations.size()));
+    w.kv("server_concurrency",
+         static_cast<std::uint64_t>(group.server_concurrency));
+    w.kv("repo_concurrency",
+         static_cast<std::uint64_t>(group.repo_concurrency));
+    w.kv("horizon_s", group.horizon_s);
+    w.kv("arrivals", group.des_arrivals);
+    w.kv("completions", group.des_completions);
+    w.kv("rejects", group.des_rejects);
+    w.kv("redirects", group.des_redirects);
+    w.kv("server_busy_s", group.des_server_busy_s);
+    w.kv("repo_busy_s", group.des_repo_busy_s);
+  });
 }
 
-std::uint64_t write_station_line(std::ostream& os,
-                                 const TimeseriesShard& group,
-                                 std::size_t index) {
+/// Writes one station's totals line and its window lines; returns the
+/// number of lines written.
+std::uint64_t write_station_lines(std::ostream& os,
+                                  const TimeseriesShard& group,
+                                  std::size_t index) {
   const StationSeries& s = group.stations[index];
-  JsonWriter w(os);
-  w.begin_object();
-  write_ts_prefix(w, "station", group);
-  w.kv("station", static_cast<std::int64_t>(station_id(group, index)));
-  w.kv("window_s", s.window_s());
-  w.kv("arrivals", s.arrivals);
-  w.kv("served", s.served);
-  w.kv("redirected", s.redirected);
-  w.kv("rejected", s.rejected);
-  w.kv("admitted", s.admitted);
-  w.kv("busy_s", s.busy_spread_s);
-  w.kv("time_in_station_s", s.time_in_station_s);
-  w.kv("occupancy_area_s", s.occupancy_area_s);
-  w.kv("time_violations", s.time_violations);
-  w.end_object();
-  os << '\n';
-  return 1;
-}
-
-std::uint64_t write_window_lines(std::ostream& os,
-                                 const TimeseriesShard& group,
-                                 std::size_t index) {
-  const StationSeries& s = group.stations[index];
+  const auto station = static_cast<std::int64_t>(station_id(group, index));
+  write_jsonl_record(os, "station", [&](JsonWriter& w) {
+    write_ts_prefix(w, group);
+    w.kv("station", station);
+    w.kv("window_s", s.window_s());
+    w.kv("arrivals", s.arrivals);
+    w.kv("served", s.served);
+    w.kv("redirected", s.redirected);
+    w.kv("rejected", s.rejected);
+    w.kv("admitted", s.admitted);
+    w.kv("busy_s", s.busy_spread_s);
+    w.kv("time_in_station_s", s.time_in_station_s);
+    w.kv("occupancy_area_s", s.occupancy_area_s);
+    w.kv("time_violations", s.time_violations);
+  });
   const std::uint32_t slots = index + 1 == group.stations.size()
                                   ? group.repo_concurrency
                                   : group.server_concurrency;
@@ -299,36 +267,26 @@ std::uint64_t write_window_lines(std::ostream& os,
   const double capacity = s.window_s() * static_cast<double>(slots) *
                           static_cast<double>(group.runs);
   for (const auto& [win, c] : s.cells()) {
-    JsonWriter w(os);
-    w.begin_object();
-    write_ts_prefix(w, "window", group);
-    w.kv("station", static_cast<std::int64_t>(station_id(group, index)));
-    w.kv("window", win);
-    w.kv("t_start_s", static_cast<double>(win) * s.window_s());
-    w.kv("arrivals", c.arrivals);
-    w.kv("served", c.served);
-    w.kv("redirected", c.redirected);
-    w.kv("rejected", c.rejected);
-    w.kv("depth_max", static_cast<std::uint64_t>(c.depth_max));
-    w.kv("depth_mean", c.depth_samples > 0
-                           ? c.depth_sum / static_cast<double>(c.depth_samples)
-                           : 0.0);
-    w.kv("inflight_max", static_cast<std::uint64_t>(c.inflight_max));
-    w.kv("busy_s", c.busy_s);
-    w.kv("util", capacity > 0 ? c.busy_s / capacity : 0.0);
-    w.end_object();
-    os << '\n';
+    write_jsonl_record(os, "window", [&](JsonWriter& w) {
+      write_ts_prefix(w, group);
+      w.kv("station", station);
+      w.kv("window", win);
+      w.kv("t_start_s", static_cast<double>(win) * s.window_s());
+      w.kv("arrivals", c.arrivals);
+      w.kv("served", c.served);
+      w.kv("redirected", c.redirected);
+      w.kv("rejected", c.rejected);
+      w.kv("depth_max", static_cast<std::uint64_t>(c.depth_max));
+      w.kv("depth_mean",
+           c.depth_samples > 0
+               ? c.depth_sum / static_cast<double>(c.depth_samples)
+               : 0.0);
+      w.kv("inflight_max", static_cast<std::uint64_t>(c.inflight_max));
+      w.kv("busy_s", c.busy_s);
+      w.kv("util", capacity > 0 ? c.busy_s / capacity : 0.0);
+    });
   }
-  return s.cells().size();
-}
-
-void write_to_file(const std::string& path,
-                   const std::function<void(std::ostream&)>& body) {
-  std::ofstream os(path);
-  MMR_CHECK_MSG(os.good(), "cannot open '" + path + "' for writing");
-  body(os);
-  os.flush();
-  MMR_CHECK_MSG(os.good(), "write to '" + path + "' failed");
+  return 1 + s.cells().size();
 }
 
 }  // namespace
@@ -337,44 +295,33 @@ void write_timeseries_jsonl(std::ostream& os,
                             const std::vector<TimeseriesShard>& groups,
                             const TimeseriesConfig& config,
                             std::uint64_t dropped, const RunMeta& meta) {
-  write_ts_header(os, config, meta);
+  write_jsonl_header(os, "mmr-timeseries", kTimeseriesVersion, meta,
+                     [&](JsonWriter& w) {
+                       w.kv("window_s", config.window_s);
+                       w.kv("max_windows", config.max_windows);
+                     });
   std::uint64_t events = 0;
   for (const TimeseriesShard& group : groups) {
-    events += write_series_line(os, group);
+    write_series_line(os, group);
+    ++events;
     for (std::size_t i = 0; i < group.stations.size(); ++i) {
-      events += write_station_line(os, group, i);
-      events += write_window_lines(os, group, i);
+      events += write_station_lines(os, group, i);
     }
   }
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("type", "summary");
-  w.kv("events", events);
-  w.kv("dropped", dropped);
-  w.end_object();
-  os << '\n';
+  write_jsonl_summary(os, "events", events, dropped);
 }
 
 void write_timeseries_file(const std::string& path, const TimeseriesLog& log,
                            const RunMeta& meta) {
   const std::vector<TimeseriesShard> groups = log.snapshot();
   const std::uint64_t dropped = log.dropped();
-  write_to_file(path, [&](std::ostream& os) {
+  write_artifact_file(path, [&](std::ostream& os) {
     write_timeseries_jsonl(os, groups, timeseries_config(), dropped, meta);
   });
 }
 
 // ---------------------------------------------------------------------------
 // Parser.
-
-std::vector<const JsonValue*> TimeseriesDoc::of_type(
-    const std::string& type) const {
-  std::vector<const JsonValue*> out;
-  for (const JsonValue& e : events) {
-    if (e.at("type").str_v == type) out.push_back(&e);
-  }
-  return out;
-}
 
 namespace {
 
@@ -401,15 +348,6 @@ struct StationTally {
   double last_window = 0;
 };
 
-void require_fields(const JsonValue& v, std::size_t line_no, const char* what,
-                    std::initializer_list<const char*> fields) {
-  for (const char* field : fields) {
-    MMR_CHECK_MSG(v.has(field), std::string(what) + " line " +
-                                    std::to_string(line_no) + " lacks the '" +
-                                    field + "' field");
-  }
-}
-
 void close_station(const StationTally& tally) {
   if (!tally.open) return;
   const std::string where =
@@ -433,136 +371,100 @@ void close_station(const StationTally& tally) {
                 where + " busy_s disagrees with its windows");
 }
 
+/// Checks one station/series/window line against the running tally.
+void check_record(const JsonValue& v, std::size_t line_no, double base_s,
+                  StationTally& tally) {
+  const std::string& type = v.at("type").str_v;
+  if (type == "series") {
+    close_station(tally);
+    tally.open = false;
+  } else if (type == "station") {
+    close_station(tally);
+    tally = StationTally{};
+    tally.open = true;
+    tally.line_no = line_no;
+    tally.station = v.at("station").num_v;
+    tally.window_s = v.at("window_s").num_v;
+    // Coarsening only ever doubles, so a station width must be the base
+    // width times a power of two.
+    double base = base_s;
+    while (base < tally.window_s) base *= 2;
+    MMR_CHECK_MSG(base == tally.window_s,
+                  "timeseries station line " + std::to_string(line_no) +
+                      " width is not a power-of-two multiple of the "
+                      "header window_s");
+    tally.policy = v.at("policy").str_v;
+    tally.mode = v.at("mode").str_v;
+    tally.declared_arrivals = v.at("arrivals").num_v;
+    tally.declared_served = v.at("served").num_v;
+    tally.declared_redirected = v.at("redirected").num_v;
+    tally.declared_rejected = v.at("rejected").num_v;
+    tally.declared_busy_s = v.at("busy_s").num_v;
+  } else {  // window
+    const std::string where =
+        "timeseries window line " + std::to_string(line_no);
+    MMR_CHECK_MSG(tally.open && v.at("station").num_v == tally.station &&
+                      v.at("policy").str_v == tally.policy &&
+                      v.at("mode").str_v == tally.mode,
+                  where + " does not follow its station line");
+    const double win = v.at("window").num_v;
+    MMR_CHECK_MSG(!tally.have_window || win > tally.last_window,
+                  where + " is out of window order");
+    tally.have_window = true;
+    tally.last_window = win;
+    MMR_CHECK_MSG(v.at("t_start_s").num_v == win * tally.window_s,
+                  where + " t_start_s disagrees with its window index");
+    MMR_CHECK_MSG(v.at("depth_mean").num_v <= v.at("depth_max").num_v,
+                  where + " depth_mean exceeds depth_max");
+    MMR_CHECK_MSG(v.at("busy_s").num_v >= 0 && v.at("util").num_v >= 0,
+                  where + " has a negative busy/util value");
+    tally.arrivals += static_cast<std::uint64_t>(v.at("arrivals").num_v);
+    tally.served += static_cast<std::uint64_t>(v.at("served").num_v);
+    tally.redirected += static_cast<std::uint64_t>(v.at("redirected").num_v);
+    tally.rejected += static_cast<std::uint64_t>(v.at("rejected").num_v);
+    tally.busy_s += v.at("busy_s").num_v;
+  }
+}
+
 }  // namespace
 
 TimeseriesDoc parse_timeseries_jsonl(const std::string& text) {
+  static const JsonlFormat kFormat[] = {{
+      .schema = "mmr-timeseries",
+      .version = kTimeseriesVersion,
+      .header_fields = {"window_s", "max_windows"},
+      .record_fields = {"policy", "mode"},
+      .records =
+          {{"series",
+            {"runs", "stations", "server_concurrency", "repo_concurrency",
+             "horizon_s", "arrivals", "completions", "rejects", "redirects",
+             "server_busy_s", "repo_busy_s"}},
+           {"station",
+            {"station", "window_s", "arrivals", "served", "redirected",
+             "rejected", "admitted", "busy_s", "time_in_station_s",
+             "occupancy_area_s", "time_violations"}},
+           {"window",
+            {"station", "window", "t_start_s", "arrivals", "served",
+             "redirected", "rejected", "depth_max", "depth_mean",
+             "inflight_max", "busy_s", "util"}}},
+  }};
   TimeseriesDoc doc;
-  std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::size_t line_no = 0;
   StationTally tally;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue v = json_parse(line);
-    MMR_CHECK_MSG(v.is_object(), "timeseries line " +
-                                     std::to_string(line_no) +
-                                     " is not a JSON object");
-    if (!have_header) {
-      MMR_CHECK_MSG(v.has("schema"),
-                    "timeseries header line lacks a 'schema' field");
-      doc.schema = v.at("schema").str_v;
-      MMR_CHECK_MSG(doc.schema == "mmr-timeseries",
-                    "unknown timeseries schema '" + doc.schema + "'");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      MMR_CHECK_MSG(v.has("window_s"),
-                    "timeseries header lacks the 'window_s' field");
-      doc.window_s = v.at("window_s").num_v;
-      MMR_CHECK_MSG(doc.window_s > 0, "timeseries window_s must be > 0");
-      doc.header = std::move(v);
-      have_header = true;
-      continue;
-    }
-    MMR_CHECK_MSG(v.has("type"), "timeseries line " +
-                                     std::to_string(line_no) +
-                                     " lacks a 'type' field");
-    const std::string& type = v.at("type").str_v;
-    if (type == "summary") {
-      MMR_CHECK_MSG(!doc.has_summary, "duplicate timeseries summary line");
-      close_station(tally);
-      tally.open = false;
-      doc.has_summary = true;
-      doc.declared_events = static_cast<std::uint64_t>(v.at("events").num_v);
-      doc.declared_dropped =
-          static_cast<std::uint64_t>(v.at("dropped").num_v);
-      continue;
-    }
-    MMR_CHECK_MSG(!doc.has_summary,
-                  "timeseries event after the summary line");
-    if (type == "series") {
-      require_fields(v, line_no, "timeseries series",
-                     {"policy", "mode", "runs", "stations", "horizon_s",
-                      "arrivals", "completions", "rejects", "redirects"});
-      close_station(tally);
-      tally.open = false;
-    } else if (type == "station") {
-      require_fields(v, line_no, "timeseries station",
-                     {"policy", "mode", "station", "window_s", "arrivals",
-                      "served", "redirected", "rejected", "admitted",
-                      "busy_s", "time_in_station_s", "occupancy_area_s",
-                      "time_violations"});
-      close_station(tally);
-      tally = StationTally{};
-      tally.open = true;
-      tally.line_no = line_no;
-      tally.station = v.at("station").num_v;
-      tally.window_s = v.at("window_s").num_v;
-      // Coarsening only ever doubles, so a station width must be the base
-      // width times a power of two.
-      double base = doc.window_s;
-      while (base < tally.window_s) base *= 2;
-      MMR_CHECK_MSG(base == tally.window_s,
-                    "timeseries station line " + std::to_string(line_no) +
-                        " width is not a power-of-two multiple of the "
-                        "header window_s");
-      tally.policy = v.at("policy").str_v;
-      tally.mode = v.at("mode").str_v;
-      tally.declared_arrivals = v.at("arrivals").num_v;
-      tally.declared_served = v.at("served").num_v;
-      tally.declared_redirected = v.at("redirected").num_v;
-      tally.declared_rejected = v.at("rejected").num_v;
-      tally.declared_busy_s = v.at("busy_s").num_v;
-    } else if (type == "window") {
-      require_fields(v, line_no, "timeseries window",
-                     {"policy", "mode", "station", "window", "t_start_s",
-                      "arrivals", "served", "redirected", "rejected",
-                      "depth_max", "depth_mean", "inflight_max", "busy_s",
-                      "util"});
-      const std::string where =
-          "timeseries window line " + std::to_string(line_no);
-      MMR_CHECK_MSG(tally.open && v.at("station").num_v == tally.station &&
-                        v.at("policy").str_v == tally.policy &&
-                        v.at("mode").str_v == tally.mode,
-                    where + " does not follow its station line");
-      const double win = v.at("window").num_v;
-      MMR_CHECK_MSG(!tally.have_window || win > tally.last_window,
-                    where + " is out of window order");
-      tally.have_window = true;
-      tally.last_window = win;
-      MMR_CHECK_MSG(v.at("t_start_s").num_v == win * tally.window_s,
-                    where + " t_start_s disagrees with its window index");
-      MMR_CHECK_MSG(v.at("depth_mean").num_v <= v.at("depth_max").num_v,
-                    where + " depth_mean exceeds depth_max");
-      MMR_CHECK_MSG(v.at("busy_s").num_v >= 0 && v.at("util").num_v >= 0,
-                    where + " has a negative busy/util value");
-      tally.arrivals += static_cast<std::uint64_t>(v.at("arrivals").num_v);
-      tally.served += static_cast<std::uint64_t>(v.at("served").num_v);
-      tally.redirected +=
-          static_cast<std::uint64_t>(v.at("redirected").num_v);
-      tally.rejected += static_cast<std::uint64_t>(v.at("rejected").num_v);
-      tally.busy_s += v.at("busy_s").num_v;
-    } else {
-      MMR_CHECK_MSG(false, "unknown timeseries event type '" + type +
-                               "' on line " + std::to_string(line_no));
-    }
-    doc.events.push_back(std::move(v));
-  }
-  MMR_CHECK_MSG(have_header, "timeseries document has no header line");
-  MMR_CHECK_MSG(doc.has_summary, "timeseries document has no summary line");
-  MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
-                "timeseries summary declares " +
-                    std::to_string(doc.declared_events) + " events but " +
-                    std::to_string(doc.events.size()) + " are present");
+  JsonlHooks hooks;
+  hooks.header = [&](const JsonValue& v) {
+    doc.window_s = v.at("window_s").num_v;
+    MMR_CHECK_MSG(doc.window_s > 0, "timeseries window_s must be > 0");
+  };
+  hooks.record = [&](const JsonValue& v, std::size_t line_no) {
+    check_record(v, line_no, doc.window_s, tally);
+  };
+  hooks.summary = [&](const JsonValue&) { close_station(tally); };
+  parse_jsonl(text, kFormat, doc, hooks);
   return doc;
 }
 
 TimeseriesDoc read_timeseries_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse_timeseries_jsonl(buffer.str());
+  return parse_timeseries_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

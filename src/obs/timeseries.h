@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "io/artifacts.h"
+#include "io/jsonl.h"
 #include "io/provenance.h"
 #include "obs/capped_windows.h"
 #include "util/json.h"
@@ -404,6 +405,9 @@ TimeseriesLog& global_timeseries_log();
 // ---------------------------------------------------------------------------
 // mmr-timeseries artifact (schema in docs/FORMATS.md).
 
+/// mmr-timeseries schema version the writer emits and the parser accepts.
+inline constexpr int kTimeseriesVersion = 1;
+
 void write_timeseries_jsonl(std::ostream& os,
                             const std::vector<TimeseriesShard>& groups,
                             const TimeseriesConfig& config,
@@ -413,25 +417,14 @@ void write_timeseries_jsonl(std::ostream& os,
 void write_timeseries_file(const std::string& path, const TimeseriesLog& log,
                            const RunMeta& meta);
 
-/// Parsed mmr-timeseries document. `events` holds every non-header,
-/// non-summary line as raw JSON.
-struct TimeseriesDoc {
-  std::string schema;
-  int version = 0;
-  double window_s = 0;
-  JsonValue header;
-  std::vector<JsonValue> events;
-  bool has_summary = false;
-  std::uint64_t declared_events = 0;
-  std::uint64_t declared_dropped = 0;
-
-  /// Events of one type, in file order.
-  std::vector<const JsonValue*> of_type(const std::string& type) const;
+/// Parsed mmr-timeseries document; `events` holds every record line.
+struct TimeseriesDoc : JsonlDoc {
+  double window_s = 0;  ///< the header's base window width
 };
 
-/// Strict parse: checks the schema name, known event types, per-station
-/// window ordering, that each station's window counts sum to its totals
-/// line, and the summary count. Throws CheckError on violation.
+/// Strict parse: the io/jsonl.h envelope and record fields, then per-station
+/// window widths and ordering, and that each station's window counts sum to
+/// its totals line. Throws CheckError on violation.
 TimeseriesDoc parse_timeseries_jsonl(const std::string& text);
 TimeseriesDoc read_timeseries_file(const std::string& path);
 

@@ -177,6 +177,36 @@ TEST_F(ProvenanceTest, ParserRejectsMalformedDocuments) {
                CheckError);
 }
 
+TEST_F(ProvenanceTest, ParserRequiresSummaryAndKnownTypes) {
+  AuditSnapshot snap;
+  snap.partitions.resize(2);
+  snap.partitions[1].step = 1;
+  std::ostringstream os;
+  write_audit_jsonl(os, snap, RunMeta{});
+  const std::string good = os.str();
+  ASSERT_NO_THROW(parse_provenance_jsonl(good));
+
+  // A truncated log (header + events, no summary) must not read as
+  // "0 dropped".
+  const std::size_t summary = good.find("{\"type\":\"summary\"");
+  ASSERT_NE(summary, std::string::npos);
+  EXPECT_THROW(parse_provenance_jsonl(good.substr(0, summary)), CheckError);
+
+  // An audit record type the writer never emits.
+  const std::size_t type = good.find("\"type\":\"partition\"");
+  ASSERT_NE(type, std::string::npos);
+  std::string bogus = good;
+  bogus.replace(type, std::string("\"type\":\"partition\"").size(),
+                "\"type\":\"bogus\"");
+  EXPECT_THROW(parse_provenance_jsonl(bogus), CheckError);
+
+  // A flight record is not an audit record, and vice versa.
+  std::string swapped = good;
+  swapped.replace(type, std::string("\"type\":\"partition\"").size(),
+                  "\"type\":\"request\"");
+  EXPECT_THROW(parse_provenance_jsonl(swapped), CheckError);
+}
+
 TEST_F(ProvenanceTest, CapCountsDroppedInsteadOfSilentLoss) {
   global_audit_log().set_max_events(3);
   std::vector<PartitionDecision> batch(5);

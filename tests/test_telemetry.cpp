@@ -216,10 +216,10 @@ TEST(Telemetry, TimelineSamplerRoundTripsThroughArtifact) {
   EXPECT_EQ(doc.interval_ms, options.interval_ms);
   EXPECT_EQ(doc.counters_available, snap.counters_available);
   EXPECT_TRUE(doc.has_summary);
-  EXPECT_EQ(doc.samples.size(), snap.samples.size());
-  EXPECT_EQ(doc.declared_samples, snap.samples.size());
+  EXPECT_EQ(doc.events.size(), snap.samples.size());
+  EXPECT_EQ(doc.declared_events, snap.samples.size());
   // Every sample line carries the full category stanza and a phase.
-  for (const JsonValue& s : doc.samples) {
+  for (const JsonValue& s : doc.events) {
     ASSERT_TRUE(s.has("mem"));
     EXPECT_EQ(s.at("mem").obj.size(), memacct::kCategoryCount);
     ASSERT_TRUE(s.has("phase"));

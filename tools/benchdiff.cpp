@@ -25,11 +25,12 @@
 // regression, 2 = usage or I/O error. The CI perf gate runs this against
 // bench/baselines/BENCH_suite.json with
 // --filter=wall_s --filter=peak_rss_bytes --rel=0.25 --mem-rel=0.35.
-#include <fstream>
 #include <iostream>
+#include <ostream>
 
 #include "io/benchdiff.h"
 #include "io/benchfmt.h"
+#include "io/jsonl.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -105,12 +106,9 @@ int main(int argc, char** argv) {
 
     const std::string json_out = flags.get_string("json-out", "");
     if (!json_out.empty()) {
-      std::ofstream os(json_out);
-      if (!os.good()) {
-        std::cerr << "error: cannot open '" << json_out << "' for writing\n";
-        return 2;
-      }
-      write_benchdiff_json(os, report, options);
+      write_artifact_file(json_out, [&](std::ostream& os) {
+        write_benchdiff_json(os, report, options);
+      });
     }
     return report.ok() ? 0 : 1;
   } catch (const std::exception& e) {

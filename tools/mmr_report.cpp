@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
@@ -39,6 +38,7 @@
 
 #include "io/artifacts.h"
 #include "io/benchfmt.h"
+#include "io/jsonl.h"
 #include "io/provenance.h"
 #include "obs/invariants.h"
 #include "obs/sketch_artifact.h"
@@ -318,19 +318,19 @@ void render_queueing(const JsonValue& metrics, ReportWriter& out) {
 
 void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
   out.section("Resource timeline");
-  if (doc.samples.empty()) {
+  if (doc.events.empty()) {
     out.para("(timeline has no samples)");
     return;
   }
-  const JsonValue& first = doc.samples.front();
-  const JsonValue& last = doc.samples.back();
+  const JsonValue& first = doc.events.front();
+  const JsonValue& last = doc.events.back();
   const double span_ms = num_or(last, "t_ms", 0) - num_or(first, "t_ms", 0);
   double rss_peak = 0;
-  for (const JsonValue& smp : doc.samples) {
+  for (const JsonValue& smp : doc.events) {
     rss_peak = std::max(rss_peak, num_or(smp, "rss_bytes", 0));
   }
   std::ostringstream head;
-  head << doc.samples.size() << " samples over "
+  head << doc.events.size() << " samples over "
        << format_double(span_ms / 1000.0, 2) << " s (interval "
        << doc.interval_ms << " ms";
   if (doc.declared_dropped > 0) {
@@ -360,14 +360,14 @@ void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
 
   // Phase occupancy: share of samples caught inside each phase.
   std::map<std::string, std::uint64_t> phase_samples;
-  for (const JsonValue& smp : doc.samples) {
+  for (const JsonValue& smp : doc.events) {
     ++phase_samples[str_or(smp, "phase", "idle")];
   }
   std::vector<std::vector<std::string>> prow;
   for (const auto& [phase, n] : phase_samples) {
     prow.push_back({phase, std::to_string(n),
                     format_percent(static_cast<double>(n) /
-                                       static_cast<double>(doc.samples.size()),
+                                       static_cast<double>(doc.events.size()),
                                    1)});
   }
   out.table({"phase", "samples", "occupancy"}, prow);
@@ -1093,24 +1093,12 @@ void render_scale_trajectory(const BenchArtifact& bench, ReportWriter& out) {
 
 // ---------------------------------------------------------------------------
 
-/// Reads a NAMED artifact strictly: a path the user asked for must exist
-/// and hold data — silently rendering a partial report would hide a broken
-/// producer. The thrown message is the report's one-line error.
-std::string read_artifact_text(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(),
-                "artifact '" + path + "' is missing or unreadable");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  std::string text = buffer.str();
-  MMR_CHECK_MSG(
-      text.find_first_not_of(" \t\r\n") != std::string::npos,
-      "artifact '" + path + "' is empty");
-  return text;
-}
-
+/// A path the user asked for must exist and hold data — silently rendering
+/// a partial report would hide a broken producer. read_artifact_file's
+/// message ("missing or unreadable" / "is empty") is the report's one-line
+/// error, as it is for the JSONL readers.
 JsonValue read_json_file(const std::string& path) {
-  return json_parse(read_artifact_text(path));
+  return json_parse(read_artifact_file(path));
 }
 
 /// Truncation never passes silently: a collector that dropped records at
@@ -1195,8 +1183,7 @@ int main(int argc, char** argv) {
       render_queueing(metrics, out);
     }
     if (!audit_path.empty()) {
-      const ProvenanceDoc doc =
-          parse_provenance_jsonl(read_artifact_text(audit_path));
+      const ProvenanceDoc doc = read_provenance_file(audit_path);
       MMR_CHECK_MSG(doc.schema == "mmr-audit",
                     "'" + audit_path + "' is a " + doc.schema +
                         " artifact, expected mmr-audit");
@@ -1209,8 +1196,7 @@ int main(int argc, char** argv) {
       render_replica_degrees(events, out);
     }
     if (!flight_path.empty()) {
-      const ProvenanceDoc doc =
-          parse_provenance_jsonl(read_artifact_text(flight_path));
+      const ProvenanceDoc doc = read_provenance_file(flight_path);
       MMR_CHECK_MSG(doc.schema == "mmr-flight",
                     "'" + flight_path + "' is a " + doc.schema +
                         " artifact, expected mmr-flight");
@@ -1223,12 +1209,13 @@ int main(int argc, char** argv) {
       render_trace(read_json_file(trace_path), top, out);
     }
     if (!timeline_path.empty()) {
-      render_timeline(parse_timeline_jsonl(read_artifact_text(timeline_path)),
-                      out);
+      const TimelineDoc doc = read_timeline_file(timeline_path);
+      warn_dropped(out, "timeline", doc.declared_dropped, "samples",
+                   "the section below undercounts");
+      render_timeline(doc, out);
     }
     if (!sketch_path.empty()) {
-      const SketchDoc doc =
-          parse_sketch_jsonl(read_artifact_text(sketch_path));
+      const SketchDoc doc = read_sketch_file(sketch_path);
       warn_dropped(out, "telemetry", doc.declared_dropped, "shards",
                    "sections below undercount");
       render_tail_trajectory(doc, top, out);
@@ -1236,32 +1223,24 @@ int main(int argc, char** argv) {
       render_slo(doc, out);
     }
     if (!timeseries_path.empty()) {
-      const TimeseriesDoc doc =
-          parse_timeseries_jsonl(read_artifact_text(timeseries_path));
+      const TimeseriesDoc doc = read_timeseries_file(timeseries_path);
       warn_dropped(out, "timeseries", doc.declared_dropped, "shards",
                    "sections below undercount");
       render_queue_dynamics(doc, top, out);
     }
     if (!invariants_path.empty()) {
-      render_invariants(
-          parse_invariants_jsonl(read_artifact_text(invariants_path)), top,
-          out);
+      render_invariants(read_invariants_file(invariants_path), top, out);
     }
     if (!scale_path.empty()) {
-      render_scale_trajectory(parse_bench_json(read_artifact_text(scale_path)),
-                              out);
+      render_scale_trajectory(read_bench_file(scale_path), out);
     }
 
     const std::string out_path = flags.get_string("out", "");
     if (out_path.empty()) {
       std::cout << body.str();
     } else {
-      std::ofstream os(out_path);
-      if (!os.good()) {
-        std::cerr << "error: cannot open '" << out_path << "' for writing\n";
-        return 2;
-      }
-      os << body.str();
+      write_artifact_file(out_path,
+                          [&](std::ostream& os) { os << body.str(); });
     }
     return 0;
   } catch (const std::exception& e) {
