@@ -1,19 +1,26 @@
 // google-benchmark microbenchmarks for the supporting data structures:
 // RNG, alias table, LRU cache, event queue, workload generation, the
-// response-time simulator, and the streaming-telemetry sketches. Accepts
+// response-time simulator, the streaming-telemetry sketches, and artifact
+// I/O (the audit log's JSONL writer and strict parser). Accepts
 // --bench-out/--reps/--quick on top of the usual --benchmark_* flags
 // (bench/micro_common.h).
 #include <benchmark/benchmark.h>
 
 #include "micro_common.h"
 
+#include <sstream>
+#include <string>
+
 #include "baselines/lru_cache.h"
 #include "baselines/static_policies.h"
+#include "core/policy.h"
+#include "io/provenance.h"
 #include "obs/heavy_hitters.h"
 #include "obs/obs.h"
 #include "obs/sketch.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -214,6 +221,60 @@ void BM_ObsIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsIngest);
+
+// Artifact I/O: the audit log of one audited solve of a two-site Table 1
+// instance (about 30k events), written to JSONL and strictly re-read. This
+// is the layer behind io.audit.write_s / io.audit.parse_s of the operator
+// pipeline, without the file system.
+const AuditSnapshot& audit_fixture() {
+  static const AuditSnapshot snapshot = [] {
+    WorkloadParams wl;
+    wl.num_servers = 2;
+    const SystemModel sys = generate_workload(wl, 42);
+    set_audit_enabled(true);
+    {
+      ProvenanceRunScope run(1);
+      MetricLabelScope label("ours");
+      run_replication_policy(sys, PolicyOptions{});
+    }
+    set_audit_enabled(false);
+    AuditSnapshot out = global_audit_log().snapshot();
+    global_audit_log().clear();
+    return out;
+  }();
+  return snapshot;
+}
+
+std::string audit_fixture_text() {
+  std::ostringstream os;
+  write_audit_jsonl(os, audit_fixture(), RunMeta{});
+  return os.str();
+}
+
+void BM_AuditJsonlWrite(benchmark::State& state) {
+  const AuditSnapshot& snapshot = audit_fixture();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    write_audit_jsonl(os, snapshot, RunMeta{});
+    bytes = os.str().size();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.SetLabel(std::to_string(snapshot.total_events()) + " events");
+}
+BENCHMARK(BM_AuditJsonlWrite)->Unit(benchmark::kMillisecond);
+
+void BM_AuditJsonlParse(benchmark::State& state) {
+  const std::string text = audit_fixture_text();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(parse_provenance_jsonl(text).events.size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_AuditJsonlParse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mmr

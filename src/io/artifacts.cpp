@@ -4,22 +4,11 @@
 #include <cstdio>
 #include <ctime>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
 #include "util/json.h"
 
 namespace mmr {
-
-namespace {
-
-std::string json_number(double v) {
-  std::ostringstream os;
-  JsonWriter(os).value(v);
-  return os.str();
-}
-
-}  // namespace
 
 RunMeta& RunMeta::add(const std::string& key, const std::string& value) {
   fields.emplace_back(key, "\"" + json_escape(value) + "\"");

@@ -1,8 +1,10 @@
 #include "io/jsonl.h"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <system_error>
 
 #include "io/artifacts.h"
 #include "util/check.h"
@@ -19,11 +21,15 @@ void write_artifact_file(const std::string& path,
 }
 
 std::string read_artifact_file(const std::string& path) {
-  std::ifstream is(path);
-  MMR_CHECK_MSG(is.good(), "artifact '" + path + "' is missing or unreadable");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  std::string text = std::move(buffer).str();
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::ifstream is(path, std::ios::binary);
+  MMR_CHECK_MSG(!ec && is.good(),
+                "artifact '" + path + "' is missing or unreadable");
+  std::string text(size, '\0');
+  is.read(text.data(), static_cast<std::streamsize>(size));
+  MMR_CHECK_MSG(static_cast<std::uintmax_t>(is.gcount()) == size,
+                "artifact '" + path + "' is missing or unreadable");
   MMR_CHECK_MSG(text.find_first_not_of(" \t\r\n") != std::string::npos,
                 "artifact '" + path + "' is empty");
   return text;
@@ -80,22 +86,24 @@ const JsonlFormat& header_format(const JsonValue& v,
 
 }  // namespace
 
-void parse_jsonl(const std::string& text, std::span<const JsonlFormat> formats,
+void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
                  JsonlDoc& doc, const JsonlHooks& hooks) {
   const JsonlFormat* format = nullptr;
   // Records of one type arrive in runs, so the last match is tried first.
   const JsonlRecordType* last = nullptr;
-  std::string line;
   std::size_t line_no = 0;
   // Built only when a check fails: the audit log has ~10^5 lines.
   const auto where = [&] {
     return (format ? format->schema : std::string("JSONL")) + " line " +
            std::to_string(line_no);
   };
+  // One record per line: sized once instead of regrown.
+  doc.events.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
   for (std::size_t pos = 0; pos < text.size();) {
     std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    line.assign(text, pos, end - pos);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(pos, end - pos);
     pos = end + 1;
     ++line_no;
     if (line.empty()) continue;

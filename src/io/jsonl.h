@@ -19,6 +19,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.h"
@@ -105,7 +106,7 @@ struct JsonlDoc {
 /// type's required fields;
 /// exactly one summary line must come last and declare as many records as
 /// are present. Blank lines are skipped. Throws CheckError on violation.
-void parse_jsonl(const std::string& text, std::span<const JsonlFormat> formats,
+void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
                  JsonlDoc& doc, const JsonlHooks& hooks = {});
 
 }  // namespace mmr

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <tuple>
+#include <utility>
 
 #include "util/check.h"
 #include "util/memacct.h"
@@ -72,36 +74,189 @@ void set_next_provenance_scenario(std::uint64_t value) {
 }
 
 // ---------------------------------------------------------------------------
+// Capped event store shared by AuditLog and FlightLog
+
+namespace {
+
+// Canonical order: producers record per-entity step sequences, so sorting
+// by (run, policy, entity, step) fully determines the artifact bytes
+// regardless of which worker thread appended first.
+
+bool canonical_less(const PartitionDecision& a, const PartitionDecision& b) {
+  return std::tie(a.run, a.policy, a.page, a.step) <
+         std::tie(b.run, b.policy, b.page, b.step);
+}
+bool canonical_less(const EvictionEvent& a, const EvictionEvent& b) {
+  return std::tie(a.run, a.policy, a.server, a.step) <
+         std::tie(b.run, b.policy, b.server, b.step);
+}
+bool canonical_less(const UnmarkEvent& a, const UnmarkEvent& b) {
+  return std::tie(a.run, a.policy, a.server, a.step) <
+         std::tie(b.run, b.policy, b.server, b.step);
+}
+bool canonical_less(const OffloadRoundEvent& a, const OffloadRoundEvent& b) {
+  return std::tie(a.run, a.policy, a.round) <
+         std::tie(b.run, b.policy, b.round);
+}
+bool canonical_less(const OffloadAnswerEvent& a, const OffloadAnswerEvent& b) {
+  return std::tie(a.run, a.policy, a.round, a.server) <
+         std::tie(b.run, b.policy, b.round, b.server);
+}
+bool canonical_less(const HeadroomStamp& a, const HeadroomStamp& b) {
+  return std::tie(a.run, a.policy, a.phase, a.server) <
+         std::tie(b.run, b.policy, b.phase, b.server);
+}
+bool canonical_less(const ReplicaDegreeEvent& a, const ReplicaDegreeEvent& b) {
+  return std::tie(a.run, a.policy, a.object) <
+         std::tie(b.run, b.policy, b.object);
+}
+bool canonical_less(const FlightRecord& a, const FlightRecord& b) {
+  return std::tie(a.run, a.policy, a.mode, a.server, a.index) <
+         std::tie(b.run, b.policy, b.mode, b.server, b.index);
+}
+
+/// Sorts a vector of one event kind into canonical order.
+template <typename T>
+void sort_canonical(std::vector<T>& events) {
+  std::sort(events.begin(), events.end(),
+            [](const T& a, const T& b) { return canonical_less(a, b); });
+}
+
+/// The buffered events of one kind. Once a shed has cut the first cap
+/// record lines inside this kind, `bound` is the smallest event it shed;
+/// once the cut lies in an earlier kind, the kind is `closed`. Arriving
+/// events at or past either can no longer be among the first cap lines, so
+/// they are dropped on arrival instead of buffered.
+template <typename T>
+struct KindBuffer {
+  std::vector<T> events;
+  std::optional<T> bound;
+  bool closed = false;
+
+  /// Removes from `batch` the events that cannot be kept; returns how many.
+  std::size_t reject(std::vector<T>& batch) const {
+    if (closed) return std::exchange(batch, {}).size();
+    if (!bound) return 0;
+    return std::erase_if(
+        batch, [&](const T& e) { return !canonical_less(e, *bound); });
+  }
+};
+
+/// Thread-unsafe core of the audit and flight logs: one KindBuffer per
+/// record kind, in the order the artifact writes them. A capped artifact is
+/// defined as the first `cap` record lines of the uncapped one (canonical
+/// order, kinds in artifact order), so it is byte-identical at any thread
+/// count. The store buffers up to cap + cap / 16 events and then sheds down
+/// to exactly those events with a linear-time selection; size() and
+/// dropped() report the capped view of what is buffered.
+template <typename... Kinds>
+class CappedStore {
+ public:
+  explicit CappedStore(std::size_t cap) : cap_(cap) {}
+
+  template <typename T>
+  void append(std::vector<T>&& batch) {
+    KindBuffer<T>& kind = std::get<KindBuffer<T>>(kinds_);
+    dropped_ += kind.reject(batch);
+    const std::uint64_t bytes = batch.size() * sizeof(T);
+    memacct::charge(memacct::Category::kProvenanceBuffers, bytes);
+    held_bytes_ += bytes;
+    kind.events.insert(kind.events.end(),
+                       std::make_move_iterator(batch.begin()),
+                       std::make_move_iterator(batch.end()));
+    held_ += batch.size();
+    if (held_ - std::min(held_, cap_) > cap_ / 16) shed();
+  }
+
+  /// The kept events of one kind, canonically sorted.
+  template <typename T>
+  std::vector<T> sorted() {
+    if (held_ > cap_) shed();
+    std::vector<T> out = std::get<KindBuffer<T>>(kinds_).events;
+    sort_canonical(out);
+    return out;
+  }
+
+  std::size_t size() const { return std::min(held_, cap_); }
+  std::uint64_t dropped() const { return dropped_ + (held_ - size()); }
+  /// A new cap re-admits every kind: the recorded cuts were for the old one.
+  void set_cap(std::size_t cap) {
+    cap_ = cap;
+    std::apply(
+        [](auto&... kind) { ((kind.bound.reset(), kind.closed = false), ...); },
+        kinds_);
+  }
+
+  void clear() {
+    kinds_ = {};
+    held_ = 0;
+    dropped_ = 0;
+    memacct::release(memacct::Category::kProvenanceBuffers, held_bytes_);
+    held_bytes_ = 0;
+  }
+
+ private:
+  /// Keeps the canonically first cap_ events across the kinds and records
+  /// where the cut fell (KindBuffer::bound / closed). Only called with more
+  /// than cap_ events held.
+  void shed() {
+    std::size_t room = cap_;
+    bool cut = false;
+    std::apply([&](auto&... kind) { (shed_kind(kind, room, cut), ...); },
+               kinds_);
+    held_ = cap_;
+  }
+
+  template <typename T>
+  void shed_kind(KindBuffer<T>& kind, std::size_t& room, bool& cut) {
+    std::vector<T>& events = kind.events;
+    if (!cut && events.size() <= room) {
+      room -= events.size();
+      return;
+    }
+    if (cut) {  // the first cap lines end in an earlier kind
+      kind.bound.reset();
+      kind.closed = true;
+    } else {
+      std::nth_element(
+          events.begin(), events.begin() + static_cast<std::ptrdiff_t>(room),
+          events.end(),
+          [](const T& a, const T& b) { return canonical_less(a, b); });
+      kind.bound = events[room];  // the smallest event shed
+      cut = true;
+    }
+    const std::size_t removed = events.size() - room;
+    events.resize(room);
+    room = 0;
+    dropped_ += removed;
+    memacct::release(memacct::Category::kProvenanceBuffers,
+                     removed * sizeof(T));
+    held_bytes_ -= removed * sizeof(T);
+  }
+
+  std::tuple<KindBuffer<Kinds>...> kinds_;
+  std::size_t cap_;
+  std::size_t held_ = 0;        ///< events buffered
+  std::uint64_t dropped_ = 0;   ///< events shed or rejected
+  std::uint64_t held_bytes_ = 0;  ///< memacct provenance.buffers charge
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // AuditLog
 
 struct AuditLog::Impl {
   mutable std::mutex mutex;
-  std::vector<PartitionDecision> partitions;
-  std::vector<EvictionEvent> evictions;
-  std::vector<UnmarkEvent> unmarks;
-  std::vector<OffloadRoundEvent> offload_rounds;
-  std::vector<OffloadAnswerEvent> offload_answers;
-  std::vector<HeadroomStamp> headroom;
-  std::vector<ReplicaDegreeEvent> replicas;
-  std::size_t total = 0;
-  std::uint64_t dropped = 0;
-  std::size_t max_events = 1'000'000;
-  std::uint64_t held_bytes = 0;  ///< memacct provenance.buffers charge
+  CappedStore<PartitionDecision, EvictionEvent, UnmarkEvent,
+              OffloadRoundEvent, OffloadAnswerEvent, HeadroomStamp,
+              ReplicaDegreeEvent>
+      store{1'000'000};
 
-  /// Appends as much of `batch` as the cap admits; the remainder is counted
-  /// as dropped. Caller holds the mutex.
   template <typename T>
-  void append(std::vector<T>& into, std::vector<T>&& batch) {
-    const std::size_t room =
-        max_events > total ? max_events - total : 0;
-    const std::size_t take = std::min(room, batch.size());
-    const std::uint64_t bytes = take * sizeof(T);
-    memacct::charge(memacct::Category::kProvenanceBuffers, bytes);
-    held_bytes += bytes;
-    into.insert(into.end(), std::make_move_iterator(batch.begin()),
-                std::make_move_iterator(batch.begin() + take));
-    total += take;
-    dropped += batch.size() - take;
+  void append(std::vector<T>&& batch) {
+    std::lock_guard<std::mutex> lock(mutex);
+    store.append(std::move(batch));
   }
 };
 
@@ -114,127 +269,63 @@ AuditLog::Impl& AuditLog::impl() const {
 }
 
 void AuditLog::add_partitions(std::vector<PartitionDecision>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.partitions, std::move(batch));
+  impl().append(std::move(batch));
 }
 void AuditLog::add_evictions(std::vector<EvictionEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.evictions, std::move(batch));
+  impl().append(std::move(batch));
 }
 void AuditLog::add_unmarks(std::vector<UnmarkEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.unmarks, std::move(batch));
+  impl().append(std::move(batch));
 }
 void AuditLog::add_offload_rounds(std::vector<OffloadRoundEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.offload_rounds, std::move(batch));
+  impl().append(std::move(batch));
 }
 void AuditLog::add_offload_answers(std::vector<OffloadAnswerEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.offload_answers, std::move(batch));
+  impl().append(std::move(batch));
 }
 void AuditLog::add_headroom(std::vector<HeadroomStamp>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.headroom, std::move(batch));
+  impl().append(std::move(batch));
 }
 void AuditLog::add_replicas(std::vector<ReplicaDegreeEvent>&& batch) {
-  Impl& s = impl();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.append(s.replicas, std::move(batch));
+  impl().append(std::move(batch));
 }
 
 void AuditLog::clear() {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  s.partitions.clear();
-  s.evictions.clear();
-  s.unmarks.clear();
-  s.offload_rounds.clear();
-  s.offload_answers.clear();
-  s.headroom.clear();
-  s.replicas.clear();
-  s.total = 0;
-  s.dropped = 0;
-  memacct::release(memacct::Category::kProvenanceBuffers, s.held_bytes);
-  s.held_bytes = 0;
+  s.store.clear();
 }
 
 std::size_t AuditLog::size() const {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  return s.total;
+  return s.store.size();
 }
 
 std::uint64_t AuditLog::dropped() const {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  return s.dropped;
+  return s.store.dropped();
 }
 
 void AuditLog::set_max_events(std::size_t max_events) {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  s.max_events = max_events;
+  s.store.set_cap(max_events);
 }
 
 AuditSnapshot AuditLog::snapshot() const {
   Impl& s = impl();
+  std::lock_guard<std::mutex> lock(s.mutex);
   AuditSnapshot out;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    out.partitions = s.partitions;
-    out.evictions = s.evictions;
-    out.unmarks = s.unmarks;
-    out.offload_rounds = s.offload_rounds;
-    out.offload_answers = s.offload_answers;
-    out.headroom = s.headroom;
-    out.replicas = s.replicas;
-    out.dropped = s.dropped;
-  }
-  // Canonical order: producers record per-entity step sequences, so sorting
-  // by (run, policy, entity, step) fully determines the artifact bytes
-  // regardless of which worker thread appended first.
-  std::sort(out.partitions.begin(), out.partitions.end(),
-            [](const PartitionDecision& a, const PartitionDecision& b) {
-              return std::tie(a.run, a.policy, a.page, a.step) <
-                     std::tie(b.run, b.policy, b.page, b.step);
-            });
-  std::sort(out.evictions.begin(), out.evictions.end(),
-            [](const EvictionEvent& a, const EvictionEvent& b) {
-              return std::tie(a.run, a.policy, a.server, a.step) <
-                     std::tie(b.run, b.policy, b.server, b.step);
-            });
-  std::sort(out.unmarks.begin(), out.unmarks.end(),
-            [](const UnmarkEvent& a, const UnmarkEvent& b) {
-              return std::tie(a.run, a.policy, a.server, a.step) <
-                     std::tie(b.run, b.policy, b.server, b.step);
-            });
-  std::sort(out.offload_rounds.begin(), out.offload_rounds.end(),
-            [](const OffloadRoundEvent& a, const OffloadRoundEvent& b) {
-              return std::tie(a.run, a.policy, a.round) <
-                     std::tie(b.run, b.policy, b.round);
-            });
-  std::sort(out.offload_answers.begin(), out.offload_answers.end(),
-            [](const OffloadAnswerEvent& a, const OffloadAnswerEvent& b) {
-              return std::tie(a.run, a.policy, a.round, a.server) <
-                     std::tie(b.run, b.policy, b.round, b.server);
-            });
-  std::sort(out.headroom.begin(), out.headroom.end(),
-            [](const HeadroomStamp& a, const HeadroomStamp& b) {
-              return std::tie(a.run, a.policy, a.phase, a.server) <
-                     std::tie(b.run, b.policy, b.phase, b.server);
-            });
-  std::sort(out.replicas.begin(), out.replicas.end(),
-            [](const ReplicaDegreeEvent& a, const ReplicaDegreeEvent& b) {
-              return std::tie(a.run, a.policy, a.object) <
-                     std::tie(b.run, b.policy, b.object);
-            });
+  out.partitions = s.store.sorted<PartitionDecision>();
+  out.evictions = s.store.sorted<EvictionEvent>();
+  out.unmarks = s.store.sorted<UnmarkEvent>();
+  out.offload_rounds = s.store.sorted<OffloadRoundEvent>();
+  out.offload_answers = s.store.sorted<OffloadAnswerEvent>();
+  out.headroom = s.store.sorted<HeadroomStamp>();
+  out.replicas = s.store.sorted<ReplicaDegreeEvent>();
+  out.dropped = s.store.dropped();
   return out;
 }
 
@@ -258,10 +349,7 @@ const char* flight_mode_name(FlightMode mode) {
 
 struct FlightLog::Impl {
   mutable std::mutex mutex;
-  std::vector<FlightRecord> records;
-  std::uint64_t dropped = 0;
-  std::size_t max_records = 1'000'000;
-  std::uint64_t held_bytes = 0;  ///< memacct provenance.buffers charge
+  CappedStore<FlightRecord> store{1'000'000};
 };
 
 FlightLog::Impl& FlightLog::impl() const {
@@ -272,58 +360,37 @@ FlightLog::Impl& FlightLog::impl() const {
 void FlightLog::add(std::vector<FlightRecord>&& batch) {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  const std::size_t room = s.max_records > s.records.size()
-                               ? s.max_records - s.records.size()
-                               : 0;
-  const std::size_t take = std::min(room, batch.size());
-  const std::uint64_t bytes = take * sizeof(FlightRecord);
-  memacct::charge(memacct::Category::kProvenanceBuffers, bytes);
-  s.held_bytes += bytes;
-  s.records.insert(s.records.end(), std::make_move_iterator(batch.begin()),
-                   std::make_move_iterator(batch.begin() + take));
-  s.dropped += batch.size() - take;
+  s.store.append(std::move(batch));
 }
 
 void FlightLog::clear() {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  s.records.clear();
-  s.dropped = 0;
-  memacct::release(memacct::Category::kProvenanceBuffers, s.held_bytes);
-  s.held_bytes = 0;
+  s.store.clear();
 }
 
 std::size_t FlightLog::size() const {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  return s.records.size();
+  return s.store.size();
 }
 
 std::uint64_t FlightLog::dropped() const {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  return s.dropped;
+  return s.store.dropped();
 }
 
 void FlightLog::set_max_records(std::size_t max_records) {
   Impl& s = impl();
   std::lock_guard<std::mutex> lock(s.mutex);
-  s.max_records = max_records;
+  s.store.set_cap(max_records);
 }
 
 std::vector<FlightRecord> FlightLog::snapshot() const {
   Impl& s = impl();
-  std::vector<FlightRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    out = s.records;
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              return std::tie(a.run, a.policy, a.mode, a.server, a.index) <
-                     std::tie(b.run, b.policy, b.mode, b.server, b.index);
-            });
-  return out;
+  std::lock_guard<std::mutex> lock(s.mutex);
+  return s.store.sorted<FlightRecord>();
 }
 
 FlightLog& global_flight_log() {

@@ -218,9 +218,13 @@ struct AuditSnapshot {
 /// Thread-safe audit event sink. Producers append whole batches (one lock
 /// per batch); snapshot() sorts into canonical (run, policy, entity, step)
 /// order so the artifact bytes do not depend on thread scheduling. A size
-/// cap bounds memory on huge runs: batches beyond it are counted in
-/// dropped(), never silently lost. AuditLog is a handle onto the single
-/// process-wide store (like the trace Tracer) — every instance shares it.
+/// cap bounds memory on huge runs: the log keeps the events that make up
+/// the first max_events record lines of the uncapped artifact (so a capped
+/// artifact is byte-identical at any thread count too), buffering at most
+/// 1/16 over the cap; the rest are counted in dropped(), never silently
+/// lost.
+/// AuditLog is a handle onto the single process-wide store (like the trace
+/// Tracer) — every instance shares it.
 class AuditLog {
  public:
   void add_partitions(std::vector<PartitionDecision>&& batch);
@@ -235,8 +239,8 @@ class AuditLog {
   std::size_t size() const;
   std::uint64_t dropped() const;
 
-  /// Event cap (default 1'000'000). Setting it does not shed already-held
-  /// events.
+  /// Event cap (default 1'000'000). size(), dropped() and snapshot() apply
+  /// the current cap to everything buffered.
   void set_max_events(std::size_t max_events);
 
   AuditSnapshot snapshot() const;
@@ -300,7 +304,8 @@ struct FlightRecord {
 };
 
 /// Thread-safe flight-record sink; same batching/sorting/cap contract as
-/// AuditLog.
+/// AuditLog (the capped artifact is the first max_records records of the
+/// uncapped one).
 class FlightLog {
  public:
   void add(std::vector<FlightRecord>&& batch);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 
 #include "util/json.h"
 #include "util/metrics.h"
@@ -82,13 +80,6 @@ ThreadBuffer& thread_buffer() {
     t_buffer = &buffer;
   }
   return buffer;
-}
-
-std::string json_number(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
 }
 
 }  // namespace

@@ -225,6 +225,80 @@ TEST_F(ProvenanceTest, CapCountsDroppedInsteadOfSilentLoss) {
   write_flight_jsonl(os, global_flight_log().snapshot(),
                      global_flight_log().dropped(), RunMeta{});
   EXPECT_EQ(parse_provenance_jsonl(os.str()).declared_dropped, 2u);
+
+  // A capped log is the first records of the uncapped one in canonical
+  // order, at any thread count: run_scenario solves its seeds on the pool,
+  // so which batch arrives first depends on thread timing.
+  const ExperimentConfig cfg = [] {
+    ExperimentConfig c = fast_config();
+    c.runs = 4;
+    return c;
+  }();
+  ScenarioSpec spec;
+  spec.storage_fraction = 0.5;
+  auto render = [&](ThreadPool* pool, std::size_t audit_cap,
+                    std::size_t flight_cap) {
+    global_audit_log().clear();
+    global_flight_log().clear();
+    global_audit_log().set_max_events(audit_cap);
+    global_flight_log().set_max_records(flight_cap);
+    set_audit_enabled(true);
+    set_flight_enabled(true);
+    set_flight_sample_every(40);
+    set_next_provenance_scenario(1);
+    run_scenario(cfg, spec, pool);
+    set_audit_enabled(false);
+    set_flight_enabled(false);
+    std::ostringstream audit_os;
+    write_audit_jsonl(audit_os, global_audit_log().snapshot(), RunMeta{});
+    std::ostringstream flight_os;
+    write_flight_jsonl(flight_os, global_flight_log().snapshot(),
+                       global_flight_log().dropped(), RunMeta{});
+    return std::make_pair(audit_os.str(), flight_os.str());
+  };
+  const auto lines = [](const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);) out.push_back(line);
+    return out;
+  };
+  const auto full = render(nullptr, 1'000'000, 1'000'000);
+  const std::vector<std::string> full_audit = lines(full.first);
+  const std::vector<std::string> full_flight = lines(full.second);
+  // Header and summary lines frame the records.
+  const std::size_t audit_events = full_audit.size() - 2;
+  const std::size_t flight_records = full_flight.size() - 2;
+  ASSERT_GT(audit_events, 1000u);
+  ASSERT_GT(flight_records, 20u);
+  // Small caps: the audit log sheds many times while the runs append.
+  const std::size_t audit_cap = audit_events / 7;
+  const std::size_t flight_cap = flight_records / 3;
+
+  // The capped file is the uncapped one's header and first `cap` records,
+  // then its own summary. Reports the first line that differs (1-based).
+  const auto check_prefix = [&](const std::string& text,
+                                const std::vector<std::string>& full,
+                                std::size_t cap) {
+    const std::vector<std::string> capped = lines(text);
+    EXPECT_EQ(capped.size(), cap + 2);
+    for (std::size_t i = 0; i + 1 < capped.size(); ++i) {
+      if (capped[i] != full[i]) return i + 1;
+    }
+    return std::size_t{0};
+  };
+  const auto serial = render(nullptr, audit_cap, flight_cap);
+  ThreadPool pool(4);
+  const auto parallel = render(&pool, audit_cap, flight_cap);
+  EXPECT_TRUE(serial.first == parallel.first);
+  EXPECT_TRUE(serial.second == parallel.second);
+  for (const auto* out : {&serial, &parallel}) {
+    EXPECT_EQ(check_prefix(out->first, full_audit, audit_cap), 0u);
+    EXPECT_EQ(check_prefix(out->second, full_flight, flight_cap), 0u);
+    EXPECT_EQ(parse_provenance_jsonl(out->first).declared_dropped,
+              audit_events - audit_cap);
+    EXPECT_EQ(parse_provenance_jsonl(out->second).declared_dropped,
+              flight_records - flight_cap);
+  }
 }
 
 TEST_F(ProvenanceTest, PolicyRunRecordsAuditTrail) {
