@@ -216,7 +216,8 @@ void write_timeline_file(const std::string& path,
   });
 }
 
-TimelineDoc parse_timeline_jsonl(const std::string& text) {
+TimelineDoc parse_timeline_jsonl(const std::string& text,
+                                 const JsonlVisitor& on_record) {
   static const JsonlFormat kFormat[] = {{
       .schema = "mmr-timeline",
       .version = kTimelineVersion,
@@ -239,12 +240,9 @@ TimelineDoc parse_timeline_jsonl(const std::string& text) {
   hooks.summary = [&](const JsonValue& v) {
     if (v.has("phase_perf")) doc.phase_perf = v.at("phase_perf");
   };
+  if (on_record) hooks.record = [&](const JsonValue& v, std::size_t) { on_record(v); };
   parse_jsonl(text, kFormat, doc, hooks);
   return doc;
-}
-
-TimelineDoc read_timeline_file(const std::string& path) {
-  return parse_timeline_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

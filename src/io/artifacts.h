@@ -74,8 +74,8 @@ void write_timeline_file(const std::string& path,
 /// mmr-timeline schema version the writer emits and the parser accepts.
 inline constexpr int kTimelineVersion = 1;
 
-/// Parsed mmr-timeline artifact (tools + round-trip tests); `events` holds
-/// the "sample" lines and `declared_events` the summary's "samples".
+/// Parsed mmr-timeline artifact (tools + round-trip tests);
+/// `declared_events` is the summary's "samples".
 struct TimelineDoc : JsonlDoc {
   std::uint32_t interval_ms = 0;
   bool counters_available = false;
@@ -84,7 +84,11 @@ struct TimelineDoc : JsonlDoc {
 
 /// Parses an mmr-timeline JSONL document. Throws CheckError on a malformed
 /// document or when the summary's sample count disagrees with the lines.
-TimelineDoc parse_timeline_jsonl(const std::string& text);
-TimelineDoc read_timeline_file(const std::string& path);
+TimelineDoc parse_timeline_jsonl(const std::string& text,
+                                 const JsonlVisitor& on_record = {});
+inline TimelineDoc read_timeline_file(const std::string& path,
+                                      const JsonlVisitor& on_record = {}) {
+  return parse_timeline_jsonl(read_artifact_file(path), on_record);
+}
 
 }  // namespace mmr

@@ -1,6 +1,6 @@
 #include "io/jsonl.h"
 
-#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -59,15 +59,6 @@ void write_jsonl_summary(std::ostream& os, const char* count_key,
   });
 }
 
-std::vector<const JsonValue*> JsonlDoc::of_type(
-    const std::string& type) const {
-  std::vector<const JsonValue*> out;
-  for (const JsonValue& e : events) {
-    if (e.at("type").str_v == type) out.push_back(&e);
-  }
-  return out;
-}
-
 namespace {
 
 const JsonlFormat& header_format(const JsonValue& v,
@@ -84,6 +75,18 @@ const JsonlFormat& header_format(const JsonValue& v,
   return formats.front();  // unreachable
 }
 
+/// A version or summary count: an integral JSON number in [0, 2^53], where
+/// doubles are exact. A string, fraction or negative value is a CheckError.
+std::uint64_t integral_field(const JsonValue& v, const std::string& key,
+                             const std::string& where) {
+  const JsonValue& f = v.at(key);
+  MMR_CHECK_MSG(f.type == JsonValue::Type::kNumber &&
+                    f.num_v == std::trunc(f.num_v) && f.num_v >= 0 &&
+                    f.num_v <= 0x1p53,
+                where + " '" + key + "' is not an integer in [0, 2^53]");
+  return static_cast<std::uint64_t>(f.num_v);
+}
+
 }  // namespace
 
 void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
@@ -97,9 +100,7 @@ void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
     return (format ? format->schema : std::string("JSONL")) + " line " +
            std::to_string(line_no);
   };
-  // One record per line: sized once instead of regrown.
-  doc.events.reserve(
-      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
+  std::uint64_t records = 0;
   for (std::size_t pos = 0; pos < text.size();) {
     std::size_t end = text.find('\n', pos);
     if (end == std::string_view::npos) end = text.size();
@@ -113,10 +114,11 @@ void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
       format = &header_format(v, formats);
       doc.schema = format->schema;
       MMR_CHECK_MSG(v.has("version"), where() + " lacks a 'version' field");
-      doc.version = static_cast<int>(v.at("version").num_v);
-      MMR_CHECK_MSG(doc.version == format->version,
+      const std::uint64_t version = integral_field(v, "version", where());
+      doc.version = format->version;
+      MMR_CHECK_MSG(version == static_cast<std::uint64_t>(doc.version),
                     "unsupported " + doc.schema + " version " +
-                        std::to_string(doc.version) + " (expected " +
+                        std::to_string(version) + " (expected " +
                         std::to_string(format->version) + ")");
       for (const std::string& field : format->header_fields) {
         MMR_CHECK_MSG(v.has(field),
@@ -134,9 +136,8 @@ void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
                     where() + " (summary) lacks '" + format->count_key +
                         "' or 'dropped'");
       doc.has_summary = true;
-      doc.declared_events =
-          static_cast<std::uint64_t>(v.at(format->count_key).num_v);
-      doc.declared_dropped = static_cast<std::uint64_t>(v.at("dropped").num_v);
+      doc.declared_events = integral_field(v, format->count_key, where());
+      doc.declared_dropped = integral_field(v, "dropped", where());
       if (hooks.summary) hooks.summary(v);
       continue;
     }
@@ -155,15 +156,15 @@ void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
       }
     }
     if (hooks.record) hooks.record(v, line_no);
-    doc.events.push_back(std::move(v));
+    ++records;
   }
   MMR_CHECK_MSG(format != nullptr, "JSONL document has no header line");
   MMR_CHECK_MSG(doc.has_summary, doc.schema + " document has no summary line");
-  MMR_CHECK_MSG(doc.declared_events == doc.events.size(),
+  MMR_CHECK_MSG(doc.declared_events == records,
                 doc.schema + " summary declares " +
                     std::to_string(doc.declared_events) + " " +
-                    format->count_key + " but " +
-                    std::to_string(doc.events.size()) + " are present");
+                    format->count_key + " but " + std::to_string(records) +
+                    " are present");
 }
 
 }  // namespace mmr

@@ -10,7 +10,8 @@
 // write_jsonl_record / write_jsonl_summary. parse_jsonl is the one strict
 // parser: a per-family JsonlFormat table names the schema, version, count
 // key and record types with their required fields; JsonlHooks carry the
-// few rules that span lines (window groups, station tallies, verdicts).
+// few rules that span lines (window groups, station tallies, verdicts). The
+// parser keeps no records: each reaches the caller once, through the hook.
 #pragma once
 
 #include <cstddef>
@@ -86,26 +87,28 @@ struct JsonlHooks {
   std::function<void(const JsonValue& summary)> summary;
 };
 
-/// The parsed envelope; each family's *Doc derives from it.
+/// The trailing argument of every family reader (parse_*_jsonl,
+/// read_*_file): it sees each record line once, in file order, after the
+/// family's own checks.
+using JsonlVisitor = std::function<void(const JsonValue& record)>;
+
+/// The parsed envelope without its records; each family's *Doc derives
+/// from it.
 struct JsonlDoc {
   std::string schema;
   int version = 0;
-  JsonValue header;               ///< the full header line (run_meta etc.)
-  std::vector<JsonValue> events;  ///< the record lines, in file order
+  JsonValue header;  ///< the full header line (run_meta etc.)
   bool has_summary = false;
   std::uint64_t declared_events = 0;  ///< the summary's count key
   std::uint64_t declared_dropped = 0;
-
-  /// Records of one type, in file order.
-  std::vector<const JsonValue*> of_type(const std::string& type) const;
 };
 
 /// Strict parse of one envelope into `doc`. The header must name one of
-/// `formats`' schemas at exactly its version and carry its header fields;
-/// every record must have a known type, the format's record fields and that
-/// type's required fields;
-/// exactly one summary line must come last and declare as many records as
-/// are present. Blank lines are skipped. Throws CheckError on violation.
+/// `formats`' schemas at exactly its (integral) version and carry its header
+/// fields; every record must have a known type, the format's record fields
+/// and that type's required fields; exactly one summary line must come last,
+/// with integral counts in [0, 2^53], and declare as many records as are
+/// present. Blank lines are skipped. Throws CheckError on violation.
 void parse_jsonl(std::string_view text, std::span<const JsonlFormat> formats,
                  JsonlDoc& doc, const JsonlHooks& hooks = {});
 

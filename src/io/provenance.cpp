@@ -575,7 +575,8 @@ void write_flight_file(const std::string& path, const FlightLog& log,
 // ---------------------------------------------------------------------------
 // Parser
 
-ProvenanceDoc parse_provenance_jsonl(const std::string& text) {
+ProvenanceDoc parse_provenance_jsonl(const std::string& text,
+                                     const JsonlVisitor& on_record) {
   static const JsonlFormat kFormats[] = {
       {.schema = "mmr-audit",
        .version = kProvenanceVersion,
@@ -610,12 +611,10 @@ ProvenanceDoc parse_provenance_jsonl(const std::string& text) {
                      "cache_misses", "throttled"}}}},
   };
   ProvenanceDoc doc;
-  parse_jsonl(text, kFormats, doc);
+  JsonlHooks hooks;
+  if (on_record) hooks.record = [&](const JsonValue& v, std::size_t) { on_record(v); };
+  parse_jsonl(text, kFormats, doc, hooks);
   return doc;
-}
-
-ProvenanceDoc read_provenance_file(const std::string& path) {
-  return parse_provenance_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

@@ -350,9 +350,13 @@ struct ProvenanceDoc : JsonlDoc {};
 /// Strict parse (io/jsonl.h) of either schema: audit records must be one of
 /// partition/evict/unmark/offload_round/offload_answer/headroom/replica,
 /// flight records "request", each with its fields. Throws CheckError.
-ProvenanceDoc parse_provenance_jsonl(const std::string& text);
+ProvenanceDoc parse_provenance_jsonl(const std::string& text,
+                                     const JsonlVisitor& on_record = {});
 
 /// Reads and parses a provenance artifact file.
-ProvenanceDoc read_provenance_file(const std::string& path);
+inline ProvenanceDoc read_provenance_file(const std::string& path,
+                                          const JsonlVisitor& on_record = {}) {
+  return parse_provenance_jsonl(read_artifact_file(path), on_record);
+}
 
 }  // namespace mmr

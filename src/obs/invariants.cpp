@@ -144,7 +144,8 @@ void write_invariants_file(const std::string& path, const TimeseriesLog& log,
 // ---------------------------------------------------------------------------
 // Parser.
 
-InvariantsDoc parse_invariants_jsonl(const std::string& text) {
+InvariantsDoc parse_invariants_jsonl(const std::string& text,
+                                     const JsonlVisitor& on_record) {
   static const JsonlFormat kFormat[] = {{
       .schema = "mmr-invariants",
       .version = kInvariantsVersion,
@@ -172,6 +173,8 @@ InvariantsDoc parse_invariants_jsonl(const std::string& text) {
     MMR_CHECK_MSG(v.at("ok").bool_v == (err <= v.at("tolerance").num_v),
                   where + " verdict disagrees with its error/tolerance");
     if (!v.at("ok").bool_v) ++failed;
+    doc.checks.push_back(v);
+    if (on_record) on_record(v);
   };
   hooks.summary = [&](const JsonValue& v) {
     doc.declared_violations =
@@ -186,13 +189,7 @@ InvariantsDoc parse_invariants_jsonl(const std::string& text) {
                   "invariants summary verdict disagrees with its checks");
   };
   parse_jsonl(text, kFormat, doc, hooks);
-  doc.checks = std::move(doc.events);
-  doc.events.clear();
   return doc;
-}
-
-InvariantsDoc read_invariants_file(const std::string& path) {
-  return parse_invariants_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

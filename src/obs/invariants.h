@@ -88,8 +88,8 @@ void write_invariants_file(const std::string& path, const TimeseriesLog& log,
                            const RunMeta& meta,
                            const InvariantTolerances& tol = {});
 
-/// Parsed mmr-invariants document. The "check" lines are in `checks` (the
-/// base `events` is left empty).
+/// Parsed mmr-invariants document: the one family that keeps its record
+/// lines, a bounded few (one per law, station and group).
 struct InvariantsDoc : JsonlDoc {
   std::vector<JsonValue> checks;  ///< the "check" lines, in file order
   std::uint64_t declared_violations = 0;
@@ -100,7 +100,11 @@ struct InvariantsDoc : JsonlDoc {
 /// line's verdict matches its own error/tolerance and that the summary's
 /// violation count and verdict match the failed lines. Throws CheckError on
 /// violation.
-InvariantsDoc parse_invariants_jsonl(const std::string& text);
-InvariantsDoc read_invariants_file(const std::string& path);
+InvariantsDoc parse_invariants_jsonl(const std::string& text,
+                                     const JsonlVisitor& on_record = {});
+inline InvariantsDoc read_invariants_file(const std::string& path,
+                                          const JsonlVisitor& on_record = {}) {
+  return parse_invariants_jsonl(read_artifact_file(path), on_record);
+}
 
 }  // namespace mmr

@@ -204,7 +204,8 @@ struct WindowGroup {
 
 }  // namespace
 
-SketchDoc parse_sketch_jsonl(const std::string& text) {
+SketchDoc parse_sketch_jsonl(const std::string& text,
+                             const JsonlVisitor& on_record) {
   static const JsonlFormat kFormat[] = {{
       .schema = "mmr-sketch",
       .version = kSketchVersion,
@@ -242,6 +243,7 @@ SketchDoc parse_sketch_jsonl(const std::string& text) {
     } else if (type == "slo") {
       windows.slo(v, where);
     }
+    if (on_record) on_record(v);
   };
   hooks.summary = [&](const JsonValue&) {
     MMR_CHECK_MSG(!windows.open,
@@ -249,10 +251,6 @@ SketchDoc parse_sketch_jsonl(const std::string& text) {
   };
   parse_jsonl(text, kFormat, doc, hooks);
   return doc;
-}
-
-SketchDoc read_sketch_file(const std::string& path) {
-  return parse_sketch_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

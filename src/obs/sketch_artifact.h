@@ -36,7 +36,7 @@ void write_sketch_jsonl(std::ostream& os, const std::vector<ObsShard>& groups,
 void write_sketch_file(const std::string& path, const ObsLog& log,
                        const RunMeta& meta);
 
-/// Parsed mmr-sketch document; `events` holds every record line.
+/// Parsed mmr-sketch document; its records go to the reader's visitor.
 struct SketchDoc : JsonlDoc {};
 
 /// Strict parse: the io/jsonl.h envelope and record fields, then
@@ -44,7 +44,11 @@ struct SketchDoc : JsonlDoc {};
 /// and per group that every window width is base × 2^k and shared with the
 /// slo line, t_start_s == index × window_s, indices ascend and stay below
 /// max_windows, and good <= requests. Throws CheckError on violation.
-SketchDoc parse_sketch_jsonl(const std::string& text);
-SketchDoc read_sketch_file(const std::string& path);
+SketchDoc parse_sketch_jsonl(const std::string& text,
+                             const JsonlVisitor& on_record = {});
+inline SketchDoc read_sketch_file(const std::string& path,
+                                  const JsonlVisitor& on_record = {}) {
+  return parse_sketch_jsonl(read_artifact_file(path), on_record);
+}
 
 }  // namespace mmr

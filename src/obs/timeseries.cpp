@@ -428,7 +428,8 @@ void check_record(const JsonValue& v, std::size_t line_no, double base_s,
 
 }  // namespace
 
-TimeseriesDoc parse_timeseries_jsonl(const std::string& text) {
+TimeseriesDoc parse_timeseries_jsonl(const std::string& text,
+                                     const JsonlVisitor& on_record) {
   static const JsonlFormat kFormat[] = {{
       .schema = "mmr-timeseries",
       .version = kTimeseriesVersion,
@@ -457,14 +458,11 @@ TimeseriesDoc parse_timeseries_jsonl(const std::string& text) {
   };
   hooks.record = [&](const JsonValue& v, std::size_t line_no) {
     check_record(v, line_no, doc.window_s, tally);
+    if (on_record) on_record(v);
   };
   hooks.summary = [&](const JsonValue&) { close_station(tally); };
   parse_jsonl(text, kFormat, doc, hooks);
   return doc;
-}
-
-TimeseriesDoc read_timeseries_file(const std::string& path) {
-  return parse_timeseries_jsonl(read_artifact_file(path));
 }
 
 }  // namespace mmr

@@ -417,7 +417,7 @@ void write_timeseries_jsonl(std::ostream& os,
 void write_timeseries_file(const std::string& path, const TimeseriesLog& log,
                            const RunMeta& meta);
 
-/// Parsed mmr-timeseries document; `events` holds every record line.
+/// Parsed mmr-timeseries document; its records go to the reader's visitor.
 struct TimeseriesDoc : JsonlDoc {
   double window_s = 0;  ///< the header's base window width
 };
@@ -425,7 +425,11 @@ struct TimeseriesDoc : JsonlDoc {
 /// Strict parse: the io/jsonl.h envelope and record fields, then per-station
 /// window widths and ordering, and that each station's window counts sum to
 /// its totals line. Throws CheckError on violation.
-TimeseriesDoc parse_timeseries_jsonl(const std::string& text);
-TimeseriesDoc read_timeseries_file(const std::string& path);
+TimeseriesDoc parse_timeseries_jsonl(const std::string& text,
+                                     const JsonlVisitor& on_record = {});
+inline TimeseriesDoc read_timeseries_file(const std::string& path,
+                                          const JsonlVisitor& on_record = {}) {
+  return parse_timeseries_jsonl(read_artifact_file(path), on_record);
+}
 
 }  // namespace mmr

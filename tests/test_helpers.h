@@ -4,8 +4,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "io/jsonl.h"
 #include "model/system.h"
+#include "util/json.h"
 #include "workload/params.h"
 
 namespace mmr::testing {
@@ -126,6 +131,16 @@ inline WorkloadParams small_params() {
   p.server_proc_capacity = kUnlimited;
   p.page_requests_per_sec_per_server = 5.0;
   return p;
+}
+
+/// A record visitor for the parse_*_jsonl / read_*_file readers that keeps
+/// a copy of each record line in `out`, in file order; only lines of `type`
+/// when one is given.
+inline JsonlVisitor collect_records(std::vector<JsonValue>& out,
+                                    std::string type = "") {
+  return [&out, type = std::move(type)](const JsonValue& record) {
+    if (type.empty() || record.at("type").str_v == type) out.push_back(record);
+  };
 }
 
 }  // namespace mmr::testing

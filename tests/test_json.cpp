@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "io/provenance.h"
+#include "test_helpers.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -135,9 +136,10 @@ TEST(Json, SubnormalsParseExactly) {
   r.t_local = tiny;
   std::ostringstream os;
   write_flight_jsonl(os, {r}, 0, RunMeta{});
-  const ProvenanceDoc doc = parse_provenance_jsonl(os.str());
-  ASSERT_EQ(doc.events.size(), 1u);
-  EXPECT_EQ(bits(doc.events[0].at("t_local").num_v), bits(tiny));
+  std::vector<JsonValue> records;
+  parse_provenance_jsonl(os.str(), testing::collect_records(records));
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(bits(records[0].at("t_local").num_v), bits(tiny));
 }
 
 TEST(Json, OutOfRangeNumbersRaiseCheckErrorWithOffset) {

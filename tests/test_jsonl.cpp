@@ -16,6 +16,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "baselines/static_policies.h"
 #include "core/policy.h"
@@ -225,11 +226,16 @@ TEST_F(JsonlTest, GoldenFilesParse) {
   EXPECT_EQ(parse_provenance_jsonl(read_golden("audit")).schema, "mmr-audit");
   EXPECT_EQ(parse_provenance_jsonl(read_golden("flight")).schema,
             "mmr-flight");
-  EXPECT_GT(parse_timeline_jsonl(read_golden("timeline")).events.size(), 0u);
-  EXPECT_GT(parse_sketch_jsonl(read_golden("sketch")).of_type("window").size(),
-            1u);
-  EXPECT_GT(parse_timeseries_jsonl(read_golden("timeseries")).events.size(),
-            0u);
+  std::vector<JsonValue> samples, windows, timeseries;
+  parse_timeline_jsonl(read_golden("timeline"),
+                       testing::collect_records(samples));
+  EXPECT_GT(samples.size(), 0u);
+  parse_sketch_jsonl(read_golden("sketch"),
+                     testing::collect_records(windows, "window"));
+  EXPECT_GT(windows.size(), 1u);
+  parse_timeseries_jsonl(read_golden("timeseries"),
+                         testing::collect_records(timeseries));
+  EXPECT_GT(timeseries.size(), 0u);
   EXPECT_TRUE(parse_invariants_jsonl(read_golden("invariants")).declared_ok);
 }
 
@@ -289,6 +295,23 @@ TEST_F(JsonlTest, UnknownTypeAndMissingFieldsAreRejected) {
   const std::size_t cut = good.find("{\"type\":\"summary\"");
   ASSERT_NE(cut, std::string::npos);
   EXPECT_THROW(parse_invariants_jsonl(good + good.substr(cut)), CheckError);
+  // Summary counts and the version are integral numbers in [0, 2^53]: a
+  // negative, string or fractional value must not read as some count.
+  const std::string audit = read_golden("audit");
+  for (const auto& [from, to] :
+       {std::pair{"\"dropped\":0", "\"dropped\":-1"},
+        std::pair{"\"dropped\":0", "\"dropped\":\"many\""},
+        std::pair{"\"dropped\":0", "\"dropped\":2.5"},
+        std::pair{"\"version\":1", "\"version\":1.5"}}) {
+    try {
+      parse_provenance_jsonl(replace_first(audit, from, to));
+      ADD_FAILURE() << "accepted " << to;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("mmr-audit line "),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(JsonlTest, ArtifactReaderNamesMissingAndEmptyFiles) {

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/heavy_hitters.h"
@@ -491,19 +493,23 @@ TEST_F(ObsTest, ArtifactRoundTrip) {
   std::ostringstream os;
   write_sketch_jsonl(os, groups, cfg, 3, meta);
 
-  const SketchDoc doc = parse_sketch_jsonl(os.str());
+  std::vector<JsonValue> records;
+  const SketchDoc doc =
+      parse_sketch_jsonl(os.str(), testing::collect_records(records));
+  std::map<std::string, std::vector<const JsonValue*>> of_type;
+  for (const JsonValue& r : records) of_type[r.at("type").str_v].push_back(&r);
   EXPECT_EQ(doc.schema, "mmr-sketch");
   EXPECT_EQ(doc.version, kSketchVersion);
   EXPECT_TRUE(doc.has_summary);
   EXPECT_EQ(doc.declared_dropped, 3u);
-  EXPECT_EQ(doc.of_type("sketch").size(), 4u);  // 2 groups x 2 metrics
-  EXPECT_EQ(doc.of_type("slo").size(), 2u);
-  EXPECT_FALSE(doc.of_type("hot").empty());
-  EXPECT_FALSE(doc.of_type("window").empty());
+  EXPECT_EQ(of_type["sketch"].size(), 4u);  // 2 groups x 2 metrics
+  EXPECT_EQ(of_type["slo"].size(), 2u);
+  EXPECT_FALSE(of_type["hot"].empty());
+  EXPECT_FALSE(of_type["window"].empty());
 
   // Rebuild the response sketch from its serialized buckets and check the
   // p99 agrees with the source within the doubled relative-error bound.
-  const JsonValue* line = doc.of_type("sketch")[0];
+  const JsonValue* line = of_type["sketch"][0];
   QuantileSketch rebuilt(cfg.alpha, cfg.max_buckets);
   for (const JsonValue& pair : line->at("buckets").arr) {
     rebuilt.add_bucket(static_cast<std::int32_t>(pair.at(0).num_v),
@@ -623,8 +629,9 @@ TEST_F(ObsTest, ArtifactBytesIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, threads8);
   EXPECT_GT(serial.size(), 1000u);  // telemetry actually recorded
   // And the artifact parses strictly.
-  const SketchDoc doc = parse_sketch_jsonl(serial);
-  EXPECT_FALSE(doc.of_type("sketch").empty());
+  std::vector<JsonValue> sketches;
+  parse_sketch_jsonl(serial, testing::collect_records(sketches, "sketch"));
+  EXPECT_FALSE(sketches.empty());
 }
 
 TEST_F(ObsTest, DisabledCostsNothing) {

@@ -99,30 +99,32 @@ TEST_F(ProvenanceTest, AuditArtifactRoundTrips) {
   std::ostringstream os;
   write_audit_jsonl(os, global_audit_log().snapshot(), meta);
 
-  const ProvenanceDoc doc = parse_provenance_jsonl(os.str());
+  std::vector<JsonValue> events;
+  const ProvenanceDoc doc =
+      parse_provenance_jsonl(os.str(), testing::collect_records(events));
   EXPECT_EQ(doc.schema, "mmr-audit");
   EXPECT_EQ(doc.version, 1);
   EXPECT_TRUE(doc.has_summary);
   EXPECT_EQ(doc.declared_dropped, 0u);
-  ASSERT_EQ(doc.events.size(), 4u);
+  ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(doc.header.at("run_meta").at("tool").str_v, "test");
   EXPECT_EQ(doc.header.at("run_meta").at("seed").num_v, 11);
 
-  EXPECT_EQ(doc.events[0].at("type").str_v, "partition");
-  EXPECT_EQ(doc.events[0].at("policy").str_v, "ours");
-  EXPECT_TRUE(doc.events[0].at("local").bool_v);
-  EXPECT_FALSE(doc.events[1].at("local").bool_v);
+  EXPECT_EQ(events[0].at("type").str_v, "partition");
+  EXPECT_EQ(events[0].at("policy").str_v, "ours");
+  EXPECT_TRUE(events[0].at("local").bool_v);
+  EXPECT_FALSE(events[1].at("local").bool_v);
 
   // Server headroom row carries storage fields; the repository row (server
   // -1) does not, and its unlimited proc capacity serializes as null.
-  EXPECT_EQ(doc.events[2].at("type").str_v, "headroom");
-  EXPECT_EQ(doc.events[2].at("server").num_v, 0);
-  EXPECT_EQ(doc.events[2].at("storage_headroom").num_v, 50);
-  EXPECT_EQ(doc.events[2].at("proc_headroom").num_v, 15);
-  EXPECT_EQ(doc.events[3].at("server").num_v, -1);
-  EXPECT_TRUE(doc.events[3].at("proc_capacity").is_null());
-  EXPECT_TRUE(doc.events[3].at("proc_headroom").is_null());
-  EXPECT_FALSE(doc.events[3].has("storage_used"));
+  EXPECT_EQ(events[2].at("type").str_v, "headroom");
+  EXPECT_EQ(events[2].at("server").num_v, 0);
+  EXPECT_EQ(events[2].at("storage_headroom").num_v, 50);
+  EXPECT_EQ(events[2].at("proc_headroom").num_v, 15);
+  EXPECT_EQ(events[3].at("server").num_v, -1);
+  EXPECT_TRUE(events[3].at("proc_capacity").is_null());
+  EXPECT_TRUE(events[3].at("proc_headroom").is_null());
+  EXPECT_FALSE(events[3].has("storage_used"));
 }
 
 TEST_F(ProvenanceTest, FlightArtifactRoundTrips) {
@@ -148,11 +150,13 @@ TEST_F(ProvenanceTest, FlightArtifactRoundTrips) {
   write_flight_jsonl(os, global_flight_log().snapshot(),
                      global_flight_log().dropped(), meta);
 
-  const ProvenanceDoc doc = parse_provenance_jsonl(os.str());
+  std::vector<JsonValue> events;
+  const ProvenanceDoc doc =
+      parse_provenance_jsonl(os.str(), testing::collect_records(events));
   EXPECT_EQ(doc.schema, "mmr-flight");
   EXPECT_EQ(doc.header.at("sample_every").num_v, 10);
-  ASSERT_EQ(doc.events.size(), 1u);
-  const JsonValue& e = doc.events[0];
+  ASSERT_EQ(events.size(), 1u);
+  const JsonValue& e = events[0];
   EXPECT_EQ(e.at("type").str_v, "request");
   EXPECT_EQ(e.at("mode").str_v, "lru");
   EXPECT_EQ(e.at("bound").str_v, "remote");

@@ -211,15 +211,17 @@ TEST(Telemetry, TimelineSamplerRoundTripsThroughArtifact) {
   meta.tool = "test_telemetry";
   std::ostringstream os;
   write_timeline_jsonl(os, snap, sampler.dropped(), meta);
-  const TimelineDoc doc = parse_timeline_jsonl(os.str());
+  std::vector<JsonValue> samples;
+  const TimelineDoc doc =
+      parse_timeline_jsonl(os.str(), testing::collect_records(samples));
   EXPECT_EQ(doc.version, 1);
   EXPECT_EQ(doc.interval_ms, options.interval_ms);
   EXPECT_EQ(doc.counters_available, snap.counters_available);
   EXPECT_TRUE(doc.has_summary);
-  EXPECT_EQ(doc.events.size(), snap.samples.size());
+  EXPECT_EQ(samples.size(), snap.samples.size());
   EXPECT_EQ(doc.declared_events, snap.samples.size());
   // Every sample line carries the full category stanza and a phase.
-  for (const JsonValue& s : doc.events) {
+  for (const JsonValue& s : samples) {
     ASSERT_TRUE(s.has("mem"));
     EXPECT_EQ(s.at("mem").obj.size(), memacct::kCategoryCount);
     ASSERT_TRUE(s.has("phase"));

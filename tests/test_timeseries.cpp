@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "io/provenance.h"
+#include "test_helpers.h"
 #include "util/check.h"
 #include "util/memacct.h"
 
@@ -325,19 +327,23 @@ std::string write_shard_text(const TimeseriesShard& shard) {
 
 TEST_F(TimeseriesTest, ArtifactRoundTrip) {
   const std::string text = write_shard_text(make_shard());
-  const TimeseriesDoc doc = parse_timeseries_jsonl(text);
+  std::vector<JsonValue> records;
+  const TimeseriesDoc doc =
+      parse_timeseries_jsonl(text, testing::collect_records(records));
+  std::map<std::string, std::vector<const JsonValue*>> of_type;
+  for (const JsonValue& r : records) of_type[r.at("type").str_v].push_back(&r);
   EXPECT_EQ(doc.schema, "mmr-timeseries");
   EXPECT_EQ(doc.version, 1);
   EXPECT_DOUBLE_EQ(doc.window_s, 10.0);
-  EXPECT_EQ(doc.of_type("series").size(), 1u);
-  EXPECT_EQ(doc.of_type("station").size(), 2u);
+  EXPECT_EQ(of_type["series"].size(), 1u);
+  EXPECT_EQ(of_type["station"].size(), 2u);
   // Server: all in window 0. Repository: its service crosses into window 1.
-  EXPECT_EQ(doc.of_type("window").size(), 3u);
+  EXPECT_EQ(of_type["window"].size(), 3u);
   EXPECT_TRUE(doc.has_summary);
-  EXPECT_EQ(doc.declared_events, doc.events.size());
+  EXPECT_EQ(doc.declared_events, records.size());
   EXPECT_EQ(doc.declared_dropped, 0u);
 
-  const JsonValue& repo = *doc.of_type("station")[1];
+  const JsonValue& repo = *of_type["station"][1];
   EXPECT_DOUBLE_EQ(repo.at("station").num_v, kRepositoryStation);
   EXPECT_DOUBLE_EQ(repo.at("busy_s").num_v, 4.0);
 }

@@ -77,10 +77,12 @@ class ReportWriter {
 
   void para(const std::string& text) { os_ << text << "\n\n"; }
 
+  /// A table, or the `empty` note when there are no rows.
   void table(const std::vector<std::string>& header,
-             const std::vector<std::vector<std::string>>& rows) {
+             const std::vector<std::vector<std::string>>& rows,
+             const std::string& empty = "(no data)") {
     if (rows.empty()) {
-      para("(no data)");
+      para(empty);
       return;
     }
     if (md_) {
@@ -123,6 +125,11 @@ std::string str_or(const JsonValue& v, const std::string& key,
   return f.type == JsonValue::Type::kString ? f.str_v : dflt;
 }
 
+/// An integral field as display text.
+std::string int_or(const JsonValue& v, const std::string& key, double dflt) {
+  return std::to_string(static_cast<std::int64_t>(num_or(v, key, dflt)));
+}
+
 bool is_null_field(const JsonValue& v, const std::string& key) {
   return !v.has(key) || v.at(key).is_null();
 }
@@ -147,38 +154,31 @@ std::string server_name(double server) {
   return server < 0 ? "R" : "S" + std::to_string(static_cast<int>(server));
 }
 
-/// Splits a provenance doc's events by the requested policy label. When no
-/// event carries the label the full set is returned (with a note), so the
-/// report degrades gracefully on artifacts from unlabeled tools.
-std::vector<const JsonValue*> filter_policy(const ProvenanceDoc& doc,
-                                            const std::string& policy,
-                                            ReportWriter& out) {
-  std::vector<const JsonValue*> matched;
-  for (const JsonValue& e : doc.events) {
-    if (str_or(e, "policy", "") == policy) matched.push_back(&e);
-  }
-  if (!matched.empty()) return matched;
-  std::vector<const JsonValue*> all;
-  all.reserve(doc.events.size());
-  for (const JsonValue& e : doc.events) all.push_back(&e);
-  if (!all.empty() && !policy.empty()) {
-    out.para("(no events labeled '" + policy + "'; showing all policies)");
-  }
-  return all;
+/// (run, policy): one solve in an artifact that holds many.
+using RunKey = std::pair<std::uint64_t, std::string>;
+
+RunKey run_key(const JsonValue& e) {
+  return {static_cast<std::uint64_t>(num_or(e, "run", 0)),
+          str_or(e, "policy", "")};
 }
 
 // ---------------------------------------------------------------------------
 // metrics.json sections
 
+/// The metrics.json block `key`, or null after a note that it is missing.
+const JsonValue* metrics_block(const JsonValue& metrics,
+                               const std::string& key, ReportWriter& out) {
+  if (metrics.has(key)) return &metrics.at(key);
+  out.para("(metrics.json has no " + key + " block)");
+  return nullptr;
+}
+
 void render_run_summary(const JsonValue& metrics, ReportWriter& out) {
   out.section("Run summary");
-  if (!metrics.has("run_meta")) {
-    out.para("(metrics.json has no run_meta block)");
-    return;
-  }
-  const JsonValue& meta = metrics.at("run_meta");
+  const JsonValue* meta = metrics_block(metrics, "run_meta", out);
+  if (meta == nullptr) return;
   std::vector<std::vector<std::string>> rows;
-  for (const auto& [key, value] : meta.obj) {
+  for (const auto& [key, value] : meta->obj) {
     rows.push_back({key, scalar_to_string(value)});
   }
   out.table({"field", "value"}, rows);
@@ -186,82 +186,61 @@ void render_run_summary(const JsonValue& metrics, ReportWriter& out) {
 
 void render_phase_breakdown(const JsonValue& metrics, ReportWriter& out) {
   out.section("Solver phase times");
-  if (!metrics.has("timers")) {
-    out.para("(metrics.json has no timers block)");
-    return;
-  }
-  const JsonValue& timers = metrics.at("timers");
+  const JsonValue* timers = metrics_block(metrics, "timers", out);
+  if (timers == nullptr) return;
   static const char* kPhases[] = {"solver.partition", "solver.storage_restore",
                                   "solver.processing_restore",
                                   "solver.offload", "solver.local_search"};
   double sum = 0;
   for (const char* name : kPhases) {
-    if (timers.has(name)) sum += num_or(timers.at(name), "total_s", 0);
+    if (timers->has(name)) sum += num_or(timers->at(name), "total_s", 0);
   }
   std::vector<std::vector<std::string>> rows;
   for (const char* name : kPhases) {
-    if (!timers.has(name)) continue;
-    const JsonValue& t = timers.at(name);
+    if (!timers->has(name)) continue;
+    const JsonValue& t = timers->at(name);
     const double total = num_or(t, "total_s", 0);
     rows.push_back(
-        {name, std::to_string(static_cast<std::uint64_t>(
-                   num_or(t, "count", 0))),
-         format_double(total, 4), format_double(num_or(t, "mean_s", 0), 6),
+        {name, int_or(t, "count", 0), format_double(total, 4),
+         format_double(num_or(t, "mean_s", 0), 6),
          sum > 0 ? format_percent(total / sum, 1) : "-"});
   }
-  if (rows.empty()) {
-    out.para("(no solver.* timers recorded)");
-    return;
-  }
-  out.table({"phase", "count", "total [s]", "mean [s]", "share"}, rows);
+  out.table({"phase", "count", "total [s]", "mean [s]", "share"}, rows,
+            "(no solver.* timers recorded)");
 }
 
 void render_objective_trajectory(const JsonValue& metrics, ReportWriter& out) {
   out.section("Objective trajectory (D after each phase)");
-  if (!metrics.has("gauges")) {
-    out.para("(metrics.json has no gauges block)");
-    return;
-  }
-  const JsonValue& gauges = metrics.at("gauges");
+  const JsonValue* gauges = metrics_block(metrics, "gauges", out);
+  if (gauges == nullptr) return;
   static const char* kStages[] = {
       "solver.d_after_partition", "solver.d_after_storage",
       "solver.d_after_processing", "solver.d_after_offload"};
   std::vector<std::vector<std::string>> rows;
   for (const char* name : kStages) {
-    if (!gauges.has(name)) continue;
-    const JsonValue& g = gauges.at(name);
+    if (!gauges->has(name)) continue;
+    const JsonValue& g = gauges->at(name);
     rows.push_back({name, format_double(num_or(g, "mean", 0), 2),
                     format_double(num_or(g, "min", 0), 2),
                     format_double(num_or(g, "max", 0), 2)});
   }
-  if (rows.empty()) {
-    out.para("(no solver.d_after_* gauges recorded)");
-    return;
-  }
-  out.table({"stage", "mean", "min", "max"}, rows);
+  out.table({"stage", "mean", "min", "max"}, rows,
+            "(no solver.d_after_* gauges recorded)");
 }
 
 void render_memory_gauges(const JsonValue& metrics, ReportWriter& out) {
   out.section("Tracked memory (memory.* gauges)");
-  if (!metrics.has("gauges")) {
-    out.para("(metrics.json has no gauges block)");
-    return;
-  }
-  const JsonValue& gauges = metrics.at("gauges");
+  const JsonValue* gauges = metrics_block(metrics, "gauges", out);
+  if (gauges == nullptr) return;
   std::vector<std::vector<std::string>> rows;
-  for (const auto& [name, g] : gauges.obj) {
+  for (const auto& [name, g] : gauges->obj) {
     if (name.rfind("memory.", 0) != 0) continue;
-    rows.push_back({name,
-                    std::to_string(static_cast<std::uint64_t>(
-                        num_or(g, "count", 0))),
+    rows.push_back({name, int_or(g, "count", 0),
                     format_bytes(num_or(g, "mean", 0)),
                     format_bytes(num_or(g, "max", 0))});
   }
-  if (rows.empty()) {
-    out.para("(no memory.* gauges recorded)");
-    return;
-  }
-  out.table({"category", "observations", "mean", "max"}, rows);
+  out.table({"category", "observations", "mean", "max"}, rows,
+            "(no memory.* gauges recorded)");
 }
 
 /// Discrete-event queueing summary (sim/des.h). Rendered only when the run
@@ -316,28 +295,40 @@ void render_queueing(const JsonValue& metrics, ReportWriter& out) {
 // ---------------------------------------------------------------------------
 // timeline section
 
-void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
+/// The sample lines folded: first and last sample, RSS peak, phase counts.
+struct TimelineFold {
+  std::uint64_t samples = 0;
+  JsonValue first, last;
+  double rss_peak = 0;
+  std::map<std::string, std::uint64_t> phase_samples;
+
+  void add(const JsonValue& smp) {
+    if (samples++ == 0) first = smp;
+    last = smp;
+    rss_peak = std::max(rss_peak, num_or(smp, "rss_bytes", 0));
+    ++phase_samples[str_or(smp, "phase", "idle")];
+  }
+};
+
+void render_timeline(const TimelineDoc& doc, const TimelineFold& fold,
+                     ReportWriter& out) {
   out.section("Resource timeline");
-  if (doc.events.empty()) {
+  if (fold.samples == 0) {
     out.para("(timeline has no samples)");
     return;
   }
-  const JsonValue& first = doc.events.front();
-  const JsonValue& last = doc.events.back();
+  const JsonValue& first = fold.first;
+  const JsonValue& last = fold.last;
   const double span_ms = num_or(last, "t_ms", 0) - num_or(first, "t_ms", 0);
-  double rss_peak = 0;
-  for (const JsonValue& smp : doc.events) {
-    rss_peak = std::max(rss_peak, num_or(smp, "rss_bytes", 0));
-  }
   std::ostringstream head;
-  head << doc.events.size() << " samples over "
+  head << fold.samples << " samples over "
        << format_double(span_ms / 1000.0, 2) << " s (interval "
        << doc.interval_ms << " ms";
   if (doc.declared_dropped > 0) {
     head << ", " << doc.declared_dropped << " dropped at the cap";
   }
   head << "). RSS " << format_bytes(num_or(first, "rss_bytes", 0)) << " -> "
-       << format_bytes(rss_peak) << " peak -> "
+       << format_bytes(fold.rss_peak) << " peak -> "
        << format_bytes(num_or(last, "rss_bytes", 0))
        << " end; process high-water "
        << format_bytes(num_or(last, "peak_rss_bytes", 0)) << ".";
@@ -359,19 +350,14 @@ void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
   }
 
   // Phase occupancy: share of samples caught inside each phase.
-  std::map<std::string, std::uint64_t> phase_samples;
-  for (const JsonValue& smp : doc.events) {
-    ++phase_samples[str_or(smp, "phase", "idle")];
-  }
   std::vector<std::vector<std::string>> prow;
-  for (const auto& [phase, n] : phase_samples) {
+  for (const auto& [phase, n] : fold.phase_samples) {
     prow.push_back({phase, std::to_string(n),
                     format_percent(static_cast<double>(n) /
-                                       static_cast<double>(doc.events.size()),
+                                       static_cast<double>(fold.samples),
                                    1)});
   }
   out.table({"phase", "samples", "occupancy"}, prow);
-
   if (!doc.counters_available) {
     out.para("(hardware perf counters unavailable in this environment)");
     return;
@@ -386,9 +372,8 @@ void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
     const double cycles = num_or(v, "cycles", 0);
     const double instr = num_or(v, "instructions", 0);
     crow.push_back(
-        {phase,
-         std::to_string(static_cast<std::uint64_t>(num_or(v, "entries", 0))),
-         format_double(cycles / 1e6, 1), format_double(instr / 1e6, 1),
+        {phase, int_or(v, "entries", 0), format_double(cycles / 1e6, 1),
+         format_double(instr / 1e6, 1),
          cycles > 0 ? format_double(instr / cycles, 2) : "-",
          format_double(num_or(v, "cache_misses", 0) / 1e3, 1),
          format_double(num_or(v, "branch_misses", 0) / 1e3, 1)});
@@ -401,73 +386,119 @@ void render_timeline(const TimelineDoc& doc, ReportWriter& out) {
 // ---------------------------------------------------------------------------
 // audit sections
 
+/// The audit log's four sections, folded over its records in one pass.
+struct AuditFold {
+  std::uint64_t records = 0;
+  /// Headroom stamps (kUnlimited: no such limit); the section shows each
+  /// run's last phase only.
+  struct Headroom {
+    RunKey run;
+    int rank;  ///< pipeline position of the phase
+    double server, proc_load, proc_headroom, storage_used, storage_headroom;
+  };
+  std::vector<Headroom> headroom;
+  std::map<RunKey, int> last_phase;  ///< max phase rank per run
+  std::uint64_t partitions = 0, local = 0, evictions = 0, unmarks = 0;
+  double bytes_evicted = 0;
+  // Off-loading: rounds per run; answers aggregated over everything shown.
+  std::map<RunKey, int> rounds_per_run;
+  double requested = 0, achieved = 0;
+  std::uint64_t answers = 0, saturated = 0;
+  std::vector<std::vector<std::string>> round_rows;
+  // Replication degree -> (objects, bytes), and the solves they came from.
+  std::set<RunKey> replica_runs;
+  std::map<int, std::pair<std::uint64_t, double>> by_degree;
+
+  void add(const JsonValue& e) {
+    ++records;
+    const std::string& type = e.at("type").str_v;
+    if (type == "partition") {
+      ++partitions;
+      if (e.has("local") && e.at("local").bool_v) ++local;
+    } else if (type == "evict") {
+      ++evictions;
+      bytes_evicted += num_or(e, "bytes", 0);
+    } else if (type == "unmark") {
+      ++unmarks;
+    } else if (type == "headroom") {
+      // Unknown phase names rank with the first phase.
+      const std::string phase = str_or(e, "phase", "");
+      int rank = 0;
+      for (std::uint8_t p = 0; p < kAuditPhaseCount; ++p) {
+        if (phase == kAuditPhaseNames[p]) rank = p;
+      }
+      auto [it, inserted] = last_phase.emplace(run_key(e), rank);
+      if (!inserted) it->second = std::max(it->second, rank);
+      headroom.push_back(
+          {it->first, rank, num_or(e, "server", -1), num_or(e, "proc_load", 0),
+           is_null_field(e, "proc_headroom") ? kUnlimited
+                                             : num_or(e, "proc_headroom", 0),
+           num_or(e, "storage_used", 0),
+           e.has("storage_headroom") ? num_or(e, "storage_headroom", 0)
+                                     : kUnlimited});
+    } else if (type == "offload_round") {
+      ++rounds_per_run[run_key(e)];
+      if (round_rows.size() < 20) {
+        round_rows.push_back(
+            {int_or(e, "run", 0), int_or(e, "round", 0),
+             format_double(num_or(e, "repo_load_before", 0), 2),
+             format_double(num_or(e, "deficit", 0), 2), int_or(e, "l1", 0),
+             int_or(e, "l2", 0), int_or(e, "l3", 0)});
+      }
+    } else if (type == "offload_answer") {
+      ++answers;
+      requested += num_or(e, "requested", 0);
+      achieved += num_or(e, "achieved", 0);
+      if (e.has("moved_to_l3") && e.at("moved_to_l3").bool_v) ++saturated;
+    } else if (type == "replica") {
+      replica_runs.insert(run_key(e));
+      auto& [count, bytes] =
+          by_degree[static_cast<int>(num_or(e, "degree", 0))];
+      ++count;
+      bytes += num_or(e, "bytes", 0);
+    }
+  }
+};
+
 /// Per-server Eq. 8/9/10 headroom after the last recorded solver phase of
 /// each run, aggregated across runs (worst case = min headroom).
-void render_headroom(const std::vector<const JsonValue*>& events,
-                     ReportWriter& out) {
+void render_headroom(const AuditFold& audit, ReportWriter& out) {
   out.section("Constraint headroom (Eq. 8/9/10, final solver phase)");
-  // phase name -> pipeline position, for "last phase" selection.
-  std::map<std::string, int> phase_rank;
-  for (std::uint8_t p = 0; p < kAuditPhaseCount; ++p) {
-    phase_rank[kAuditPhaseNames[p]] = p;
-  }
-  // (run, policy) -> max phase rank seen.
-  std::map<std::pair<std::uint64_t, std::string>, int> last_phase;
-  for (const JsonValue* e : events) {
-    if (str_or(*e, "type", "") != "headroom") continue;
-    const auto key = std::make_pair(
-        static_cast<std::uint64_t>(num_or(*e, "run", 0)),
-        str_or(*e, "policy", ""));
-    const int rank = phase_rank[str_or(*e, "phase", "")];
-    auto [it, inserted] = last_phase.emplace(key, rank);
-    if (!inserted) it->second = std::max(it->second, rank);
-  }
-  if (last_phase.empty()) {
+  if (audit.headroom.empty()) {
     out.para("(no headroom stamps in the audit log)");
     return;
   }
 
-  struct Agg {
+  struct Agg {  // a min that stays kUnlimited: no run had the limit
     int runs = 0;
     double proc_load_sum = 0;
     double proc_headroom_min = kUnlimited;
-    bool proc_limited = false;
     double storage_used_sum = 0;
     double storage_headroom_min = kUnlimited;
-    bool has_storage = false;
   };
   std::map<double, Agg> by_server;  // -1 = repository
-  for (const JsonValue* e : events) {
-    if (str_or(*e, "type", "") != "headroom") continue;
-    const auto key = std::make_pair(
-        static_cast<std::uint64_t>(num_or(*e, "run", 0)),
-        str_or(*e, "policy", ""));
-    if (phase_rank[str_or(*e, "phase", "")] != last_phase[key]) continue;
-    Agg& a = by_server[num_or(*e, "server", -1)];
+  for (const AuditFold::Headroom& h : audit.headroom) {
+    if (h.rank != audit.last_phase.at(h.run)) continue;
+    Agg& a = by_server[h.server];
     ++a.runs;
-    a.proc_load_sum += num_or(*e, "proc_load", 0);
-    if (!is_null_field(*e, "proc_headroom")) {
-      a.proc_limited = true;
-      a.proc_headroom_min =
-          std::min(a.proc_headroom_min, num_or(*e, "proc_headroom", 0));
-    }
-    if (e->has("storage_headroom")) {
-      a.has_storage = true;
-      a.storage_used_sum += num_or(*e, "storage_used", 0);
-      a.storage_headroom_min =
-          std::min(a.storage_headroom_min, num_or(*e, "storage_headroom", 0));
-    }
+    a.proc_load_sum += h.proc_load;
+    a.proc_headroom_min = std::min(a.proc_headroom_min, h.proc_headroom);
+    if (h.storage_headroom == kUnlimited) continue;
+    a.storage_used_sum += h.storage_used;
+    a.storage_headroom_min =
+        std::min(a.storage_headroom_min, h.storage_headroom);
   }
-
   std::vector<std::vector<std::string>> rows;
   for (const auto& [server, a] : by_server) {
     const double n = a.runs > 0 ? a.runs : 1;
+    const bool proc_limited = a.proc_headroom_min != kUnlimited;
+    const bool has_storage = a.storage_headroom_min != kUnlimited;
     rows.push_back(
         {server_name(server), std::to_string(a.runs),
          format_double(a.proc_load_sum / n, 2),
-         a.proc_limited ? format_double(a.proc_headroom_min, 2) : "unlimited",
-         a.has_storage ? format_bytes(a.storage_used_sum / n) : "-",
-         a.has_storage ? format_bytes(a.storage_headroom_min) : "-"});
+         proc_limited ? format_double(a.proc_headroom_min, 2) : "unlimited",
+         has_storage ? format_bytes(a.storage_used_sum / n) : "-",
+         has_storage ? format_bytes(a.storage_headroom_min) : "-"});
   }
   // Repository row (server "R", sorted first as -1) reads better last.
   if (!rows.empty() && rows.front()[0] == "R") {
@@ -479,104 +510,49 @@ void render_headroom(const std::vector<const JsonValue*>& events,
             rows);
 }
 
-void render_solver_decisions(const std::vector<const JsonValue*>& events,
-                             ReportWriter& out) {
+void render_solver_decisions(const AuditFold& audit, ReportWriter& out) {
   out.section("Solver decisions");
-  std::uint64_t partitions = 0, local = 0, evictions = 0, unmarks = 0;
-  double bytes_evicted = 0;
-  for (const JsonValue* e : events) {
-    const std::string type = str_or(*e, "type", "");
-    if (type == "partition") {
-      ++partitions;
-      if (e->has("local") && e->at("local").bool_v) ++local;
-    } else if (type == "evict") {
-      ++evictions;
-      bytes_evicted += num_or(*e, "bytes", 0);
-    } else if (type == "unmark") {
-      ++unmarks;
-    }
-  }
   std::ostringstream os;
-  os << partitions << " partition decisions";
-  if (partitions > 0) {
-    os << " (" << format_percent(static_cast<double>(local) /
-                                     static_cast<double>(partitions),
+  os << audit.partitions << " partition decisions";
+  if (audit.partitions > 0) {
+    os << " (" << format_percent(static_cast<double>(audit.local) /
+                                     static_cast<double>(audit.partitions),
                                  1)
        << " placed local)";
   }
-  os << ", " << evictions << " storage evictions ("
-     << format_bytes(bytes_evicted) << " freed), " << unmarks
+  os << ", " << audit.evictions << " storage evictions ("
+     << format_bytes(audit.bytes_evicted) << " freed), " << audit.unmarks
      << " processing unmarks.";
   out.para(os.str());
 }
 
-void render_offload(const std::vector<const JsonValue*>& events,
-                    ReportWriter& out) {
+void render_offload(const AuditFold& audit, ReportWriter& out) {
   out.section("Repository off-loading (Eq. 9 negotiation)");
-  // (run, policy) -> rounds; answers aggregated over everything shown.
-  std::map<std::pair<std::uint64_t, std::string>, int> rounds_per_run;
-  double requested = 0, achieved = 0;
-  std::uint64_t answers = 0, saturated = 0;
-  std::vector<std::vector<std::string>> rows;
-  for (const JsonValue* e : events) {
-    const std::string type = str_or(*e, "type", "");
-    if (type == "offload_round") {
-      const auto key = std::make_pair(
-          static_cast<std::uint64_t>(num_or(*e, "run", 0)),
-          str_or(*e, "policy", ""));
-      ++rounds_per_run[key];
-      if (rows.size() < 20) {
-        rows.push_back(
-            {std::to_string(static_cast<std::uint64_t>(num_or(*e, "run", 0))),
-             std::to_string(static_cast<int>(num_or(*e, "round", 0))),
-             format_double(num_or(*e, "repo_load_before", 0), 2),
-             format_double(num_or(*e, "deficit", 0), 2),
-             std::to_string(static_cast<int>(num_or(*e, "l1", 0))),
-             std::to_string(static_cast<int>(num_or(*e, "l2", 0))),
-             std::to_string(static_cast<int>(num_or(*e, "l3", 0)))});
-      }
-    } else if (type == "offload_answer") {
-      ++answers;
-      requested += num_or(*e, "requested", 0);
-      achieved += num_or(*e, "achieved", 0);
-      if (e->has("moved_to_l3") && e->at("moved_to_l3").bool_v) ++saturated;
-    }
-  }
-  if (rounds_per_run.empty()) {
+  if (audit.rounds_per_run.empty()) {
     out.para("(off-loading never triggered)");
     return;
   }
   std::ostringstream os;
-  os << rounds_per_run.size() << " run(s) negotiated; " << answers
-     << " server answers absorbed " << format_double(achieved, 2) << " of "
-     << format_double(requested, 2) << " req/s requested, " << saturated
-     << " server(s) saturated into L3.";
+  os << audit.rounds_per_run.size() << " run(s) negotiated; " << audit.answers
+     << " server answers absorbed " << format_double(audit.achieved, 2)
+     << " of " << format_double(audit.requested, 2) << " req/s requested, "
+     << audit.saturated << " server(s) saturated into L3.";
   out.para(os.str());
-  out.table({"run", "round", "repo load", "deficit", "L1", "L2", "L3"}, rows);
+  out.table({"run", "round", "repo load", "deficit", "L1", "L2", "L3"},
+            audit.round_rows);
 }
 
-void render_replica_degrees(const std::vector<const JsonValue*>& events,
-                            ReportWriter& out) {
+void render_replica_degrees(const AuditFold& audit, ReportWriter& out) {
   out.section("Replication degree distribution");
-  // degree -> (objects, bytes); normalized by run·policy groups so the table
-  // reads as "per solve" even when the artifact holds many runs.
-  std::set<std::pair<std::uint64_t, std::string>> groups;
-  std::map<int, std::pair<std::uint64_t, double>> by_degree;
-  for (const JsonValue* e : events) {
-    if (str_or(*e, "type", "") != "replica") continue;
-    groups.emplace(static_cast<std::uint64_t>(num_or(*e, "run", 0)),
-                   str_or(*e, "policy", ""));
-    auto& [count, bytes] = by_degree[static_cast<int>(num_or(*e, "degree", 0))];
-    ++count;
-    bytes += num_or(*e, "bytes", 0);
-  }
-  if (by_degree.empty()) {
+  if (audit.by_degree.empty()) {
     out.para("(no replica-degree events in the audit log)");
     return;
   }
-  const double n = groups.empty() ? 1 : static_cast<double>(groups.size());
+  // Normalized by run·policy groups so the table reads as "per solve" even
+  // when the artifact holds many runs.
+  const double n = static_cast<double>(audit.replica_runs.size());
   std::vector<std::vector<std::string>> rows;
-  for (const auto& [degree, agg] : by_degree) {
+  for (const auto& [degree, agg] : audit.by_degree) {
     rows.push_back({std::to_string(degree),
                     format_double(static_cast<double>(agg.first) / n, 1),
                     format_bytes(agg.second / n)});
@@ -590,9 +566,8 @@ void render_replica_degrees(const std::vector<const JsonValue*>& events,
 // ---------------------------------------------------------------------------
 // flight section
 
-void render_slowest_pages(const std::vector<const JsonValue*>& events,
-                          std::size_t top, ReportWriter& out) {
-  out.section("Slowest pages (flight recorder)");
+/// Flight records folded per (mode, page).
+struct FlightFold {
   struct PageAgg {
     std::uint64_t samples = 0;
     double response_sum = 0;
@@ -602,31 +577,35 @@ void render_slowest_pages(const std::vector<const JsonValue*>& events,
     std::uint64_t remote_bound = 0;
     double server = -1;
   };
+  std::uint64_t records = 0;
   std::map<std::pair<std::string, std::uint64_t>, PageAgg> by_page;
-  std::uint64_t total = 0;
-  for (const JsonValue* e : events) {
-    if (str_or(*e, "type", "") != "request") continue;
-    ++total;
-    const auto key = std::make_pair(
-        str_or(*e, "mode", ""),
-        static_cast<std::uint64_t>(num_or(*e, "page", 0)));
-    PageAgg& a = by_page[key];
+
+  void add(const JsonValue& e) {
+    ++records;
+    PageAgg& a = by_page[{str_or(e, "mode", ""),
+                          static_cast<std::uint64_t>(num_or(e, "page", 0))}];
     ++a.samples;
-    const double response = num_or(*e, "response", 0);
+    const double response = num_or(e, "response", 0);
     a.response_sum += response;
     a.response_max = std::max(a.response_max, response);
-    a.t_local_sum += num_or(*e, "t_local", 0);
-    a.t_remote_sum += num_or(*e, "t_remote", 0);
-    if (str_or(*e, "bound", "local") == "remote") ++a.remote_bound;
-    a.server = num_or(*e, "server", -1);
+    a.t_local_sum += num_or(e, "t_local", 0);
+    a.t_remote_sum += num_or(e, "t_remote", 0);
+    if (str_or(e, "bound", "local") == "remote") ++a.remote_bound;
+    a.server = num_or(e, "server", -1);
   }
-  if (by_page.empty()) {
+};
+
+void render_slowest_pages(const FlightFold& flight, std::size_t top,
+                          ReportWriter& out) {
+  out.section("Slowest pages (flight recorder)");
+  if (flight.by_page.empty()) {
     out.para("(no request records in the flight log)");
     return;
   }
 
-  std::vector<std::pair<std::pair<std::string, std::uint64_t>, PageAgg>>
-      ranked(by_page.begin(), by_page.end());
+  std::vector<std::pair<std::pair<std::string, std::uint64_t>,
+                        FlightFold::PageAgg>>
+      ranked(flight.by_page.begin(), flight.by_page.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     const double ma = a.second.response_sum / a.second.samples;
     const double mb = b.second.response_sum / b.second.samples;
@@ -646,8 +625,9 @@ void render_slowest_pages(const std::vector<const JsonValue*>& events,
          format_double(a.t_remote_sum / n, 3),
          format_percent(static_cast<double>(a.remote_bound) / n, 0)});
   }
-  out.para(std::to_string(total) + " sampled requests, " +
-           std::to_string(by_page.size()) + " distinct (mode, page) groups.");
+  out.para(std::to_string(flight.records) + " sampled requests, " +
+           std::to_string(flight.by_page.size()) +
+           " distinct (mode, page) groups.");
   out.table({"page", "mode", "host", "samples", "mean resp [s]",
              "max resp [s]", "mean local [s]", "mean repo [s]",
              "remote-bound"},
@@ -673,10 +653,6 @@ void render_trace(const JsonValue& trace, std::size_t top, ReportWriter& out) {
     ++a.count;
     a.total_us += num_or(e, "dur", 0);
   }
-  if (by_name.empty()) {
-    out.para("(no spans recorded)");
-    return;
-  }
   std::vector<std::pair<std::string, SpanAgg>> ranked(by_name.begin(),
                                                       by_name.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
@@ -694,7 +670,8 @@ void render_trace(const JsonValue& trace, std::size_t top, ReportWriter& out) {
                                       static_cast<double>(a.count),
                                   3)});
   }
-  out.table({"span", "count", "total [ms]", "mean [ms]"}, rows);
+  out.table({"span", "count", "total [ms]", "mean [ms]"}, rows,
+            "(no spans recorded)");
 }
 
 // ---------------------------------------------------------------------------
@@ -705,83 +682,85 @@ std::string group_label(const JsonValue& e) {
   return (policy.empty() ? "-" : policy) + "/" + str_or(e, "mode", "?");
 }
 
+/// The sketch artifact's rows, at most `top` windows and hot objects a group.
+struct SketchFold {
+  std::vector<std::vector<std::string>> quantile_rows, window_rows, hot_rows,
+      slo_rows;
+  std::map<std::string, std::size_t> windows_shown, hot_shown;
+  std::size_t windows_omitted = 0;
+
+  void add(const JsonValue& e, std::size_t top) {
+    const std::string& type = e.at("type").str_v;
+    const std::string label = group_label(e);
+    if (type == "sketch") {
+      quantile_rows.push_back(
+          {label, str_or(e, "metric", "?"), int_or(e, "count", 0),
+           format_double(num_or(e, "p50", 0), 3),
+           format_double(num_or(e, "p90", 0), 3),
+           format_double(num_or(e, "p99", 0), 3),
+           format_double(num_or(e, "p999", 0), 3),
+           format_double(num_or(e, "max", 0), 3)});
+    } else if (type == "window") {
+      // Windows are in file order = ascending virtual time.
+      if (windows_shown[label] >= top) {
+        ++windows_omitted;
+        return;
+      }
+      ++windows_shown[label];
+      window_rows.push_back(
+          {label, int_or(e, "index", 0),
+           format_double(num_or(e, "t_start_s", 0), 1),
+           format_double(num_or(e, "window_s", 0), 0),
+           int_or(e, "requests", 0), format_double(num_or(e, "p99_s", 0), 3),
+           format_percent(num_or(e, "attainment", 1), 2),
+           format_double(num_or(e, "burn", 0), 2)});
+    } else if (type == "hot") {
+      if (hot_shown[label] >= top) return;
+      ++hot_shown[label];
+      hot_rows.push_back({label, int_or(e, "rank", 0), int_or(e, "page", 0),
+                          server_name(num_or(e, "server", -1)),
+                          int_or(e, "count", 0), int_or(e, "error", 0),
+                          format_double(num_or(e, "miss_cost_s", 0), 2)});
+    } else if (type == "slo") {
+      slo_rows.push_back(
+          {label, int_or(e, "windows", 0),
+           format_double(num_or(e, "window_s", 0), 0),
+           int_or(e, "requests", 0),
+           format_percent(num_or(e, "attainment", 1), 2),
+           format_double(num_or(e, "worst_burn_1", 0), 2),
+           format_double(num_or(e, "worst_burn_6", 0), 2)});
+    }
+  }
+};
+
 /// Per-group quantile summary plus the per-window p99 trajectory.
-void render_tail_trajectory(const SketchDoc& doc, std::size_t top,
+void render_tail_trajectory(const SketchFold& sketch, std::size_t top,
                             ReportWriter& out) {
   out.section("Tail trajectory (streaming sketches)");
-  std::vector<std::vector<std::string>> qrows;
-  for (const JsonValue* e : doc.of_type("sketch")) {
-    qrows.push_back(
-        {group_label(*e), str_or(*e, "metric", "?"),
-         std::to_string(static_cast<std::uint64_t>(num_or(*e, "count", 0))),
-         format_double(num_or(*e, "p50", 0), 3),
-         format_double(num_or(*e, "p90", 0), 3),
-         format_double(num_or(*e, "p99", 0), 3),
-         format_double(num_or(*e, "p999", 0), 3),
-         format_double(num_or(*e, "max", 0), 3)});
-  }
-  if (qrows.empty()) {
+  if (sketch.quantile_rows.empty()) {
     out.para("(no sketch lines in the artifact)");
     return;
   }
   out.table({"policy/mode", "metric", "requests", "p50", "p90", "p99",
              "p999", "max"},
-            qrows);
-
-  // Per-window p99: how the tail evolves over virtual time, capped at
-  // `top` windows per group (windows are in file order = ascending time).
-  std::map<std::string, std::size_t> shown;
-  std::map<std::string, std::size_t> total;
-  for (const JsonValue* e : doc.of_type("window")) ++total[group_label(*e)];
-  std::vector<std::vector<std::string>> wrows;
-  for (const JsonValue* e : doc.of_type("window")) {
-    if (shown[group_label(*e)] >= top) continue;
-    ++shown[group_label(*e)];
-    wrows.push_back(
-        {group_label(*e),
-         std::to_string(static_cast<std::uint64_t>(num_or(*e, "index", 0))),
-         format_double(num_or(*e, "t_start_s", 0), 1),
-         format_double(num_or(*e, "window_s", 0), 0),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
-         format_double(num_or(*e, "p99_s", 0), 3),
-         format_percent(num_or(*e, "attainment", 1), 2),
-         format_double(num_or(*e, "burn", 0), 2)});
-  }
-  if (wrows.empty()) {
+            sketch.quantile_rows);
+  if (sketch.window_rows.empty()) {
     out.para("(no window rows in the artifact)");
     return;
   }
-  std::size_t omitted = 0;
-  for (const auto& [label, n] : total) omitted += n - shown[label];
-  if (omitted > 0) {
-    out.para("First " + std::to_string(top) +
-             " windows per group shown (" + std::to_string(omitted) +
+  if (sketch.windows_omitted > 0) {
+    out.para("First " + std::to_string(top) + " windows per group shown (" +
+             std::to_string(sketch.windows_omitted) +
              " more omitted; raise --top for the full trajectory).");
   }
   out.table({"policy/mode", "window", "t [s]", "width [s]", "requests",
              "p99 [s]", "attainment", "burn"},
-            wrows);
+            sketch.window_rows);
 }
 
-void render_hot_objects(const SketchDoc& doc, std::size_t top,
-                        ReportWriter& out) {
+void render_hot_objects(const SketchFold& sketch, ReportWriter& out) {
   out.section("Hot objects (SpaceSaving heavy hitters)");
-  std::vector<std::vector<std::string>> rows;
-  std::map<std::string, std::size_t> shown;
-  for (const JsonValue* e : doc.of_type("hot")) {
-    if (shown[group_label(*e)] >= top) continue;
-    ++shown[group_label(*e)];
-    rows.push_back(
-        {group_label(*e),
-         std::to_string(static_cast<std::uint64_t>(num_or(*e, "rank", 0))),
-         std::to_string(static_cast<std::uint64_t>(num_or(*e, "page", 0))),
-         server_name(num_or(*e, "server", -1)),
-         std::to_string(static_cast<std::uint64_t>(num_or(*e, "count", 0))),
-         std::to_string(static_cast<std::uint64_t>(num_or(*e, "error", 0))),
-         format_double(num_or(*e, "miss_cost_s", 0), 2)});
-  }
-  if (rows.empty()) {
+  if (sketch.hot_rows.empty()) {
     out.para("(no hot-set lines in the artifact)");
     return;
   }
@@ -790,10 +769,11 @@ void render_hot_objects(const SketchDoc& doc, std::size_t top,
            "repository-pipeline seconds its requests paid.");
   out.table({"policy/mode", "rank", "page", "host", "count", "error",
              "miss cost [s]"},
-            rows);
+            sketch.hot_rows);
 }
 
-void render_slo(const SketchDoc& doc, ReportWriter& out) {
+void render_slo(const SketchDoc& doc, const SketchFold& sketch,
+                ReportWriter& out) {
   out.section("SLO attainment");
   if (doc.header.has("slo")) {
     const JsonValue& slo = doc.header.at("slo");
@@ -809,70 +789,22 @@ void render_slo(const SketchDoc& doc, ReportWriter& out) {
              " per group; each group's own width is listed. Burn 1.0 = "
              "failing exactly at the sustainable rate.");
   }
-  std::vector<std::vector<std::string>> rows;
-  for (const JsonValue* e : doc.of_type("slo")) {
-    rows.push_back(
-        {group_label(*e),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*e, "windows", 0))),
-         format_double(num_or(*e, "window_s", 0), 0),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*e, "requests", 0))),
-         format_percent(num_or(*e, "attainment", 1), 2),
-         format_double(num_or(*e, "worst_burn_1", 0), 2),
-         format_double(num_or(*e, "worst_burn_6", 0), 2)});
-  }
-  if (rows.empty()) {
-    out.para("(no slo lines in the artifact)");
-    return;
-  }
   out.table({"policy/mode", "windows", "width [s]", "requests",
              "attainment", "worst burn (1w)", "worst burn (6w)"},
-            rows);
+            sketch.slo_rows, "(no slo lines in the artifact)");
 }
 
 // ---------------------------------------------------------------------------
 // queue-dynamics sections (mmr-timeseries + mmr-invariants)
 
-/// Per-station queue dynamics from the DES: utilization occupancy, peak
-/// depth and saturation onset per station, and the overflow timeline.
-void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
-                           ReportWriter& out) {
-  out.section("Queue dynamics (per-station time series)");
-  const auto series = doc.of_type("series");
-  if (series.empty()) {
-    out.para("(no series lines in the artifact)");
-    return;
-  }
-  out.para("Virtual-time windows, base width " +
-           format_double(doc.window_s, 0) +
-           " s (long-horizon stations coarsen in power-of-two steps); "
-           "stations are the site servers plus the repository (R).");
-
-  // Group overview from the series lines.
-  std::vector<std::vector<std::string>> grows;
-  for (const JsonValue* s : series) {
-    grows.push_back(
-        {group_label(*s),
-         std::to_string(static_cast<std::uint64_t>(num_or(*s, "runs", 1))),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*s, "stations", 0))),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*s, "arrivals", 0))),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*s, "completions", 0))),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*s, "rejects", 0))),
-         std::to_string(
-             static_cast<std::uint64_t>(num_or(*s, "redirects", 0))),
-         format_double(num_or(*s, "horizon_s", 0), 1)});
-  }
-  out.table({"policy/mode", "runs", "stations", "arrivals", "completions",
-             "rejects", "redirects", "horizon [s]"},
-            grows);
-
-  // Per-station aggregation over the window lines: peak depth, when the
-  // station first queued (saturation onset) and its busy-time occupancy.
+/// The timeseries records folded per group and per station.
+struct TimeseriesFold {
+  std::vector<std::vector<std::string>> series_rows;
+  /// Per group, from its last series line: slots × horizon × runs of the
+  /// repository and of a server, the occupancy denominators.
+  std::map<std::string, std::pair<double, double>> capacity;
+  /// Peak depth, when the station first queued (saturation onset) and its
+  /// busy-time occupancy.
   struct StationAgg {
     double peak_depth = 0;
     double peak_t = 0;
@@ -880,42 +812,80 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
     double busy = 0;
     double redirected = 0;
     double rejected = 0;
-    std::uint64_t windows = 0;
   };
   std::map<std::pair<std::string, double>, StationAgg> by_station;
-  for (const JsonValue* w : doc.of_type("window")) {
-    StationAgg& a =
-        by_station[{group_label(*w), num_or(*w, "station", 0)}];
-    ++a.windows;
-    const double depth = num_or(*w, "depth_max", 0);
-    const double t = num_or(*w, "t_start_s", 0);
-    if (depth > a.peak_depth) {
-      a.peak_depth = depth;
-      a.peak_t = t;
+  /// Every window that redirected or rejected work; the first `top` shown.
+  std::vector<std::vector<std::string>> overflow_rows;
+  std::size_t overflow_windows = 0;
+
+  void add(const JsonValue& e, std::size_t top) {
+    const std::string& type = e.at("type").str_v;
+    if (type == "series") {
+      series_rows.push_back(
+          {group_label(e), int_or(e, "runs", 1), int_or(e, "stations", 0),
+           int_or(e, "arrivals", 0), int_or(e, "completions", 0),
+           int_or(e, "rejects", 0), int_or(e, "redirects", 0),
+           format_double(num_or(e, "horizon_s", 0), 1)});
+      const double horizon = num_or(e, "horizon_s", 0);
+      const double runs = std::max(1.0, num_or(e, "runs", 1));
+      capacity[group_label(e)] = {
+          horizon * num_or(e, "repo_concurrency", 1) * runs,
+          horizon * num_or(e, "server_concurrency", 1) * runs};
+    } else if (type == "window") {
+      StationAgg& a = by_station[{group_label(e), num_or(e, "station", 0)}];
+      const double depth = num_or(e, "depth_max", 0);
+      const double t = num_or(e, "t_start_s", 0);
+      if (depth > a.peak_depth) {
+        a.peak_depth = depth;
+        a.peak_t = t;
+      }
+      if (depth > 0 && (a.first_queue_t < 0 || t < a.first_queue_t)) {
+        a.first_queue_t = t;
+      }
+      const double red = num_or(e, "redirected", 0);
+      const double rej = num_or(e, "rejected", 0);
+      a.busy += num_or(e, "busy_s", 0);
+      a.redirected += red;
+      a.rejected += rej;
+      if (red <= 0 && rej <= 0) return;
+      ++overflow_windows;
+      if (overflow_rows.size() >= top) return;
+      overflow_rows.push_back(
+          {group_label(e), server_name(num_or(e, "station", 0)),
+           format_double(t, 1), format_double(depth, 0),
+           format_percent(num_or(e, "util", 0)), format_double(red, 0),
+           format_double(rej, 0)});
     }
-    if (depth > 0 && (a.first_queue_t < 0 || t < a.first_queue_t)) {
-      a.first_queue_t = t;
-    }
-    a.busy += num_or(*w, "busy_s", 0);
-    a.redirected += num_or(*w, "redirected", 0);
-    a.rejected += num_or(*w, "rejected", 0);
   }
-  // slots × horizon × runs per group, for the occupancy denominator.
-  std::map<std::string, const JsonValue*> group_hdr;
-  for (const JsonValue* s : series) group_hdr[group_label(*s)] = s;
+};
+
+/// Per-station queue dynamics from the DES: utilization occupancy, peak
+/// depth and saturation onset per station, and the overflow timeline.
+void render_queue_dynamics(const TimeseriesDoc& doc, const TimeseriesFold& ts,
+                           std::size_t top, ReportWriter& out) {
+  out.section("Queue dynamics (per-station time series)");
+  if (ts.series_rows.empty()) {
+    out.para("(no series lines in the artifact)");
+    return;
+  }
+  out.para("Virtual-time windows, base width " +
+           format_double(doc.window_s, 0) +
+           " s (long-horizon stations coarsen in power-of-two steps); "
+           "stations are the site servers plus the repository (R).");
+  out.table({"policy/mode", "runs", "stations", "arrivals", "completions",
+             "rejects", "redirects", "horizon [s]"},
+            ts.series_rows);
+
   const auto utilization = [&](const std::string& label, double station,
                                double busy) {
-    const JsonValue* s = group_hdr[label];
-    if (s == nullptr) return 0.0;
-    const double slots = station < 0 ? num_or(*s, "repo_concurrency", 1)
-                                     : num_or(*s, "server_concurrency", 1);
-    const double cap = num_or(*s, "horizon_s", 0) * slots *
-                       std::max(1.0, num_or(*s, "runs", 1));
+    const auto it = ts.capacity.find(label);
+    if (it == ts.capacity.end()) return 0.0;
+    const double cap = station < 0 ? it->second.first : it->second.second;
     return cap > 0 ? busy / cap : 0.0;
   };
-
-  std::vector<std::pair<std::pair<std::string, double>, StationAgg>> ranked(
-      by_station.begin(), by_station.end());
+  std::vector<std::pair<std::pair<std::string, double>,
+                        TimeseriesFold::StationAgg>>
+      ranked(ts.by_station.begin(), ts.by_station.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     if (a.second.peak_depth != b.second.peak_depth) {
       return a.second.peak_depth > b.second.peak_depth;
@@ -934,7 +904,7 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
          format_double(a.redirected, 0), format_double(a.rejected, 0)});
   }
   out.para("Busiest " + std::to_string(srows.size()) + " of " +
-           std::to_string(by_station.size()) +
+           std::to_string(ts.by_station.size()) +
            " stations by peak queue depth; 'first queue [s]' is the window "
            "where queueing began (saturation onset).");
   out.table({"policy/mode", "station", "utilization", "peak depth",
@@ -942,41 +912,22 @@ void render_queue_dynamics(const TimeseriesDoc& doc, std::size_t top,
             srows);
 
   // Overflow timeline: every window that redirected or rejected work.
-  std::vector<std::vector<std::string>> orows;
-  std::size_t overflow_windows = 0;
-  for (const JsonValue* w : doc.of_type("window")) {
-    const double red = num_or(*w, "redirected", 0);
-    const double rej = num_or(*w, "rejected", 0);
-    if (red <= 0 && rej <= 0) continue;
-    ++overflow_windows;
-    if (orows.size() >= top) continue;
-    orows.push_back(
-        {group_label(*w), server_name(num_or(*w, "station", 0)),
-         format_double(num_or(*w, "t_start_s", 0), 1),
-         format_double(num_or(*w, "depth_max", 0), 0),
-         format_percent(num_or(*w, "util", 0)), format_double(red, 0),
-         format_double(rej, 0)});
-  }
-  if (orows.empty()) {
+  if (ts.overflow_rows.empty()) {
     out.para("No window overflowed: every request was admitted locally.");
   } else {
-    out.para(std::to_string(overflow_windows) +
+    out.para(std::to_string(ts.overflow_windows) +
              " window(s) overflowed; first " +
-             std::to_string(orows.size()) + " shown in virtual-time order.");
+             std::to_string(ts.overflow_rows.size()) +
+             " shown in virtual-time order.");
     out.table({"policy/mode", "station", "t [s]", "depth max", "util",
                "redirected", "rejected"},
-              orows);
+              ts.overflow_rows);
   }
 }
 
-/// Conservation-law verdicts from the mmr-invariants artifact.
-void render_invariants(const InvariantsDoc& doc, std::size_t top,
-                       ReportWriter& out) {
-  out.section("Conservation-law audit");
-  if (doc.checks.empty()) {
-    out.para("(no check lines in the artifact)");
-    return;
-  }
+/// Conservation-law verdicts per (group, law) and the first `top` violations.
+struct InvariantsFold {
+  std::uint64_t checks = 0;
   struct LawAgg {
     std::uint64_t checks = 0;
     std::uint64_t violations = 0;
@@ -984,15 +935,36 @@ void render_invariants(const InvariantsDoc& doc, std::size_t top,
     double tolerance = 0;
   };
   std::map<std::pair<std::string, std::string>, LawAgg> by_law;
-  for (const JsonValue& c : doc.checks) {
+  std::vector<std::vector<std::string>> violation_rows;
+
+  void add(const JsonValue& c, std::size_t top) {
+    ++checks;
     LawAgg& a = by_law[{group_label(c), str_or(c, "law", "?")}];
     ++a.checks;
-    if (!c.at("ok").bool_v) ++a.violations;
     a.max_error = std::max(a.max_error, num_or(c, "error", 0));
     a.tolerance = num_or(c, "tolerance", 0);
+    if (c.at("ok").bool_v) return;
+    ++a.violations;
+    if (violation_rows.size() >= top) return;
+    violation_rows.push_back(
+        {group_label(c), str_or(c, "law", "?"),
+         is_null_field(c, "station") ? std::string("run")
+                                     : server_name(num_or(c, "station", 0)),
+         format_double(num_or(c, "expected", 0), 6),
+         format_double(num_or(c, "observed", 0), 6),
+         format_double(num_or(c, "error", 0), 9)});
+  }
+};
+
+void render_invariants(const InvariantsDoc& doc, const InvariantsFold& inv,
+                       ReportWriter& out) {
+  out.section("Conservation-law audit");
+  if (inv.checks == 0) {
+    out.para("(no check lines in the artifact)");
+    return;
   }
   std::vector<std::vector<std::string>> rows;
-  for (const auto& [key, a] : by_law) {
+  for (const auto& [key, a] : inv.by_law) {
     rows.push_back({key.first, key.second, std::to_string(a.checks),
                     std::to_string(a.violations),
                     format_double(a.max_error, 9),
@@ -1002,29 +974,18 @@ void render_invariants(const InvariantsDoc& doc, std::size_t top,
              "tolerance"},
             rows);
   if (doc.declared_violations == 0) {
-    out.para("All " + std::to_string(doc.checks.size()) +
+    out.para("All " + std::to_string(inv.checks) +
              " conservation-law checks hold: Little's law, flow "
              "conservation, queue drain, busy/utilization consistency and "
              "monotone virtual time.");
     return;
   }
   out.para("VIOLATIONS: " + std::to_string(doc.declared_violations) + " of " +
-           std::to_string(doc.checks.size()) +
+           std::to_string(inv.checks) +
            " checks failed; first offenders below.");
-  std::vector<std::vector<std::string>> vrows;
-  for (const JsonValue& c : doc.checks) {
-    if (c.at("ok").bool_v || vrows.size() >= top) continue;
-    vrows.push_back(
-        {group_label(c), str_or(c, "law", "?"),
-         is_null_field(c, "station") ? std::string("run")
-                                     : server_name(num_or(c, "station", 0)),
-         format_double(num_or(c, "expected", 0), 6),
-         format_double(num_or(c, "observed", 0), 6),
-         format_double(num_or(c, "error", 0), 9)});
-  }
   out.table({"policy/mode", "law", "station", "expected", "observed",
              "error"},
-            vrows);
+            inv.violation_rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -1043,15 +1004,10 @@ void render_scale_trajectory(const BenchArtifact& bench, ReportWriter& out) {
     if (dot != std::string::npos) seen.insert(m.name.substr(6, dot - 6));
   }
   std::vector<std::string> tiers;
-  const auto add_tier = [&](const std::string& tier) {
-    if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) {
-      tiers.push_back(tier);
-    }
-  };
   for (const char* canon : {"small", "medium", "large"}) {
-    if (seen.count(canon) > 0) add_tier(canon);
+    if (seen.erase(canon) > 0) tiers.push_back(canon);
   }
-  for (const std::string& tier : seen) add_tier(tier);
+  tiers.insert(tiers.end(), seen.begin(), seen.end());
   if (tiers.empty()) {
     out.para("(no scale.<tier>.* series in the artifact)");
     return;
@@ -1113,6 +1069,30 @@ void warn_dropped(ReportWriter& out, const std::string& log,
                           " at its cap; " + consequence + ".";
   out.para("WARNING: " + msg);
   std::cerr << "warning: " << msg << "\n";
+}
+
+/// Reads the mmr-`log` artifact at `path` in one pass, folding every record
+/// and, apart, those labeled `policy`, and warns if the log was truncated.
+/// Returns the labeled fold, or the full one with a note when no record
+/// carries the label: the report degrades gracefully on unlabeled artifacts.
+template <typename Fold>
+Fold read_provenance(const std::string& path, const std::string& log,
+                     const std::string& policy, const std::string& unit,
+                     const std::string& consequence, ReportWriter& out) {
+  Fold all, matched;
+  const ProvenanceDoc doc = read_provenance_file(path, [&](const JsonValue& e) {
+    all.add(e);
+    if (str_or(e, "policy", "") == policy) matched.add(e);
+  });
+  MMR_CHECK_MSG(doc.schema == "mmr-" + log,
+                "'" + path + "' is a " + doc.schema +
+                    " artifact, expected mmr-" + log);
+  warn_dropped(out, log, doc.declared_dropped, unit, consequence);
+  if (matched.records > 0) return matched;
+  if (all.records > 0 && !policy.empty()) {
+    out.para("(no events labeled '" + policy + "'; showing all policies)");
+  }
+  return all;
 }
 
 }  // namespace
@@ -1183,53 +1163,54 @@ int main(int argc, char** argv) {
       render_queueing(metrics, out);
     }
     if (!audit_path.empty()) {
-      const ProvenanceDoc doc = read_provenance_file(audit_path);
-      MMR_CHECK_MSG(doc.schema == "mmr-audit",
-                    "'" + audit_path + "' is a " + doc.schema +
-                        " artifact, expected mmr-audit");
-      warn_dropped(out, "audit", doc.declared_dropped, "events",
-                   "sections below undercount");
-      const auto events = filter_policy(doc, policy, out);
-      render_headroom(events, out);
-      render_solver_decisions(events, out);
-      render_offload(events, out);
-      render_replica_degrees(events, out);
+      const auto audit = read_provenance<AuditFold>(
+          audit_path, "audit", policy, "events", "sections below undercount",
+          out);
+      render_headroom(audit, out);
+      render_solver_decisions(audit, out);
+      render_offload(audit, out);
+      render_replica_degrees(audit, out);
     }
     if (!flight_path.empty()) {
-      const ProvenanceDoc doc = read_provenance_file(flight_path);
-      MMR_CHECK_MSG(doc.schema == "mmr-flight",
-                    "'" + flight_path + "' is a " + doc.schema +
-                        " artifact, expected mmr-flight");
-      warn_dropped(out, "flight", doc.declared_dropped, "records",
-                   "the table below undercounts");
-      const auto events = filter_policy(doc, policy, out);
-      render_slowest_pages(events, top, out);
+      const auto flight = read_provenance<FlightFold>(
+          flight_path, "flight", policy, "records",
+          "the table below undercounts", out);
+      render_slowest_pages(flight, top, out);
     }
     if (!trace_path.empty()) {
       render_trace(read_json_file(trace_path), top, out);
     }
     if (!timeline_path.empty()) {
-      const TimelineDoc doc = read_timeline_file(timeline_path);
+      TimelineFold fold;
+      const TimelineDoc doc = read_timeline_file(
+          timeline_path, [&](const JsonValue& e) { fold.add(e); });
       warn_dropped(out, "timeline", doc.declared_dropped, "samples",
                    "the section below undercounts");
-      render_timeline(doc, out);
+      render_timeline(doc, fold, out);
     }
     if (!sketch_path.empty()) {
-      const SketchDoc doc = read_sketch_file(sketch_path);
+      SketchFold fold;
+      const SketchDoc doc = read_sketch_file(
+          sketch_path, [&](const JsonValue& e) { fold.add(e, top); });
       warn_dropped(out, "telemetry", doc.declared_dropped, "shards",
                    "sections below undercount");
-      render_tail_trajectory(doc, top, out);
-      render_hot_objects(doc, top, out);
-      render_slo(doc, out);
+      render_tail_trajectory(fold, top, out);
+      render_hot_objects(fold, out);
+      render_slo(doc, fold, out);
     }
     if (!timeseries_path.empty()) {
-      const TimeseriesDoc doc = read_timeseries_file(timeseries_path);
+      TimeseriesFold fold;
+      const TimeseriesDoc doc = read_timeseries_file(
+          timeseries_path, [&](const JsonValue& e) { fold.add(e, top); });
       warn_dropped(out, "timeseries", doc.declared_dropped, "shards",
                    "sections below undercount");
-      render_queue_dynamics(doc, top, out);
+      render_queue_dynamics(doc, fold, top, out);
     }
     if (!invariants_path.empty()) {
-      render_invariants(read_invariants_file(invariants_path), top, out);
+      InvariantsFold fold;
+      const InvariantsDoc doc = read_invariants_file(
+          invariants_path, [&](const JsonValue& e) { fold.add(e, top); });
+      render_invariants(doc, fold, out);
     }
     if (!scale_path.empty()) {
       render_scale_trajectory(read_bench_file(scale_path), out);
