@@ -240,7 +240,9 @@ TimelineDoc parse_timeline_jsonl(const std::string& text,
   hooks.summary = [&](const JsonValue& v) {
     if (v.has("phase_perf")) doc.phase_perf = v.at("phase_perf");
   };
-  if (on_record) hooks.record = [&](const JsonValue& v, std::size_t) { on_record(v); };
+  hooks.record = [&](const JsonValue& v, std::size_t) {
+    if (on_record) on_record(v);
+  };
   parse_jsonl(text, kFormat, doc, hooks);
   return doc;
 }

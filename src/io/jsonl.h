@@ -87,13 +87,11 @@ struct JsonlHooks {
   std::function<void(const JsonValue& summary)> summary;
 };
 
-/// The trailing argument of every family reader (parse_*_jsonl,
-/// read_*_file): it sees each record line once, in file order, after the
-/// family's own checks.
+/// Every family reader's (parse_*_jsonl, read_*_file) trailing argument:
+/// sees each record line once, in file order, after the family's checks.
 using JsonlVisitor = std::function<void(const JsonValue& record)>;
 
-/// The parsed envelope without its records; each family's *Doc derives
-/// from it.
+/// The parsed envelope without records; each family's *Doc derives from it.
 struct JsonlDoc {
   std::string schema;
   int version = 0;

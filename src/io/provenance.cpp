@@ -612,7 +612,9 @@ ProvenanceDoc parse_provenance_jsonl(const std::string& text,
   };
   ProvenanceDoc doc;
   JsonlHooks hooks;
-  if (on_record) hooks.record = [&](const JsonValue& v, std::size_t) { on_record(v); };
+  hooks.record = [&](const JsonValue& v, std::size_t) {
+    if (on_record) on_record(v);
+  };
   parse_jsonl(text, kFormats, doc, hooks);
   return doc;
 }
